@@ -3,27 +3,8 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
-
-from .data import TokenSequence
-
-
-@dataclass
-class AugConfig:
-    alpha: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-
-
-@dataclass
-class ViewPair:
-    original: TokenSequence
-    augmented: TokenSequence
 
 
 def _substream(seed, example_id, view, epoch=0):
@@ -60,24 +41,12 @@ def random_delete(tokens, alpha, rng):
 
 
 def augment_tokens(tokens, alpha, rng):
-    """Swap then delete, the combined perturbation applied to each view."""
+    """Swap then delete, the combined perturbation applied to each view.
+
+    Each view draws from its own substream,
+    `_substream(seed, example_id, "code" | "text", epoch)`, so either view
+    can be regenerated alone.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     return random_delete(random_swap(tokens, alpha, rng), alpha, rng)
-
-
-def make_augmented_views(example_id, code_tokens, text_tokens, config,
-                         epoch=0):
-    """Build (code, text) view pairs; each view has its own seeded substream
-    so either can be regenerated alone."""
-    if not code_tokens or not text_tokens:
-        raise ValueError("make_augmented_views: token lists must be non-empty")
-    code_aug = augment_tokens(
-        code_tokens, config.alpha,
-        _substream(config.seed, example_id, "code", epoch))
-    text_aug = augment_tokens(
-        text_tokens, config.alpha,
-        _substream(config.seed, example_id, "text", epoch))
-    code_pair = ViewPair(TokenSequence(list(code_tokens), "code"),
-                         TokenSequence(code_aug, "code"))
-    text_pair = ViewPair(TokenSequence(list(text_tokens), "text"),
-                         TokenSequence(text_aug, "text"))
-    return code_pair, text_pair

@@ -46,30 +46,10 @@ class Tensor:
         self._prev = prev
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self):
         if self.data.size != 1:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.data.shape}")
         return float(self.data[0, 0])
-
-    def zero_grad(self):
-        self.grad = None
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -246,7 +226,7 @@ def row_logsumexp(a):
     return _node(y, "row-log-sum-exp", (a,), backward)
 
 
-def row_l2_normalize(a, eps=0.0):
+def row_l2_normalize(a):
     norms = np.sqrt((a.data ** 2).sum(axis=1, keepdims=True))
     if np.any(norms <= 1e-300):
         raise NonFiniteError("row-l2-normalize: zero-norm row")

@@ -5,17 +5,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+from dataclasses import asdict, fields
 
 from . import __version__
-from .augment import AugConfig, make_augmented_views
+from .augment import augment_tokens, _substream
 from .comments import ProviderConfig, attach_comments, CommentError
 from .data import (DatasetError, Vocabulary, dataset_stats, load_jsonl,
                    save_jsonl, stratified_split, tokenize)
 from .evaluation import (EvalError, PredictionSet, Prediction, compute_metrics,
-                         cross_dataset_eval, false_negative_analysis,
-                         latency_bench, pca_project, predict)
+                         cross_dataset_eval, embed_code,
+                         false_negative_analysis, latency_bench, pca_project,
+                         predict)
 from .fixtures import generate_fixture
 from .losses import LossWeights
 from .training import (CheckpointError, TrainConfig, TrainError,
@@ -51,47 +51,39 @@ def _read_config_file(path):
     return values
 
 
-_CONFIG_FLOATS = {"learning_rate", "weight_decay", "alpha", "clip_orig",
-                  "clip_aug", "consistency", "classification"}
-_CONFIG_INTS = {"batch_size", "epochs", "max_input_length", "seed",
-                "embed_dim", "num_blocks", "num_heads", "ff_dim", "proj_dim",
-                "vocab_size"}
-_CONFIG_BOOLS = {"resample_augmentation", "disable_aug_alignment",
-                 "disable_consistency", "fine_tuning_only", "select_best_f1"}
+# Config keys are the scalar fields of TrainConfig plus those of LossWeights
+# (flattened in place of `weights`); each is parsed as its default's type.
+_CONFIG_TYPES = {f.name: type(f.default)
+                 for f in fields(TrainConfig) + fields(LossWeights)
+                 if f.name != "weights"}
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+
+
+def _parse_config_value(key, text):
+    kind = _CONFIG_TYPES[key]
+    try:
+        return _BOOLS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise DatasetError(
+            f"config key {key}: {text!r} is not a valid {kind.__name__}")
 
 
 def _build_train_config(args):
-    values = {}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for key in list(values):
-        if key in _CONFIG_FLOATS:
-            values[key] = float(values[key])
-        elif key in _CONFIG_INTS:
-            values[key] = int(values[key])
-        elif key in _CONFIG_BOOLS:
-            values[key] = values[key].lower() in ("1", "true", "yes")
-    weights = LossWeights(
-        clip_orig=values.pop("clip_orig", 0.5),
-        clip_aug=values.pop("clip_aug", 0.5),
-        consistency=values.pop("consistency", 0.1),
-        classification=values.pop("classification", 1.0))
+    values = _read_config_file(args.config) if args.config else {}
+    unknown = set(values) - set(_CONFIG_TYPES)
+    if unknown:
+        raise DatasetError(f"unknown config keys: {sorted(unknown)}")
+    values = {k: _parse_config_value(k, v) for k, v in values.items()}
     if args.seed is not None:
         values["seed"] = args.seed
     for flag in ("fine_tuning_only", "disable_aug_alignment",
                  "disable_consistency"):
         if getattr(args, flag, False):
             values[flag] = True
-    unknown = set(values) - (_CONFIG_FLOATS | _CONFIG_INTS | _CONFIG_BOOLS)
-    if unknown:
-        raise DatasetError(f"unknown config keys: {sorted(unknown)}")
+    weights = LossWeights(**{f.name: values.pop(f.name)
+                             for f in fields(LossWeights) if f.name in values})
     return TrainConfig(weights=weights, **values)
-
-
-def _config_provenance(config):
-    obj = {k: v for k, v in vars(config).items() if k != "weights"}
-    obj["weights"] = vars(config.weights).copy()
-    return obj
 
 
 def _save_vocabs(path, code_vocab, text_vocab):
@@ -140,16 +132,16 @@ def _cmd_comment(args):
 
 def _cmd_augment(args):
     records = load_jsonl(args.input)
-    config = AugConfig(alpha=args.alpha, seed=args.seed)
     rows = []
     for rec in records:
-        code_tokens = tokenize(rec.code, "code")
-        text_tokens = tokenize(rec.comment or "", "text")
-        code_pair, text_pair = make_augmented_views(
-            rec.id, code_tokens, text_tokens, config)
+        code_aug = augment_tokens(tokenize(rec.code, "code"), args.alpha,
+                                  _substream(args.seed, rec.id, "code"))
+        text_aug = augment_tokens(tokenize(rec.comment or "", "text"),
+                                  args.alpha,
+                                  _substream(args.seed, rec.id, "text"))
         obj = rec.to_json_obj()
-        obj["code_aug"] = " ".join(code_pair.augmented.tokens)
-        obj["comment_aug"] = " ".join(text_pair.augmented.tokens)
+        obj["code_aug"] = " ".join(code_aug)
+        obj["comment_aug"] = " ".join(text_aug)
         rows.append(obj)
     with open(args.output, "w", encoding="utf-8") as fh:
         for obj in rows:
@@ -170,7 +162,7 @@ def _cmd_train(args):
                         seed=config.seed)
         _save_vocabs(args.checkpoint, result.code_vocab, result.text_vocab)
     summary = {
-        "config": _config_provenance(config),
+        "config": asdict(config),
         "seed": config.seed,
         "best_epoch": result.best_epoch,
         "best_f1": round(100.0 * result.best_f1, 2) if result.best_f1 >= 0
@@ -223,14 +215,9 @@ def _cmd_pca_export(args):
     model, manifest = load_checkpoint(args.checkpoint)
     code_vocab, _ = _load_vocabs(args.checkpoint)
     records = load_jsonl(args.input)
-    from .data import encode
-    seqs = [encode(tokenize(r.code, "code"), code_vocab,
-                   model.code_config.max_input_length) for r in records]
-    embeddings = []
-    for i in range(0, len(seqs), 32):
-        hidden = model.encode_batch(seqs[i:i + 32], "code")
-        embeddings.append(model.project(hidden, "code").data)
-    proj = pca_project(np.vstack(embeddings), [r.label for r in records],
+    embeddings = embed_code(model, records, code_vocab,
+                            model.code_config.max_input_length)
+    proj = pca_project(embeddings, [r.label for r in records],
                        ids=[r.id for r in records], seed=args.seed or 0)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("id,pc1,pc2,label\n")

@@ -88,6 +88,8 @@ class DatasetStats:
 
 def load_jsonl(path):
     records = []
+    # keyed by the id's text, which also seeds its augmentation substreams
+    line_of_id = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -110,6 +112,12 @@ def load_jsonl(path):
                 ))
             except DatasetError as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}")
+            rid = str(records[-1].id)
+            if rid in line_of_id:
+                raise DatasetError(
+                    f"{path}: duplicate record id {records[-1].id!r} on lines "
+                    f"{line_of_id[rid]} and {lineno}")
+            line_of_id[rid] = lineno
     return records
 
 

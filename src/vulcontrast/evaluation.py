@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import encode, tokenize
 
 DEFAULT_THRESHOLD = 0.5
@@ -90,6 +91,18 @@ class FnAnalysis:
 
 # ----------------------------------------------------------------- predict
 
+def embed_code(model, records, vocab, max_input_length, batch_size=32):
+    """Projected code embeddings, one row per record, encoded in chunks of
+    `batch_size`; the text encoder is never touched."""
+    rows = []
+    for i in range(0, len(records), batch_size):
+        seqs = [encode(tokenize(r.code, "code"), vocab, max_input_length)
+                for r in records[i:i + batch_size]]
+        hidden = model.encode_batch(seqs, "code")
+        rows.append(model.project(hidden, "code").data)
+    return np.vstack(rows)
+
+
 def predict(model, records, code_vocab, threshold=DEFAULT_THRESHOLD,
             max_input_length=256, method="vulcontrast", batch_size=32):
     """Code-only inference; the text encoder is never touched."""
@@ -97,15 +110,12 @@ def predict(model, records, code_vocab, threshold=DEFAULT_THRESHOLD,
         raise EvalError("predict: empty record list")
     if not 0.0 < threshold < 1.0:
         raise EvalError("predict: threshold must lie in (0, 1)")
+    projected = embed_code(model, records, code_vocab, max_input_length,
+                           batch_size)
     preds = []
     for i in range(0, len(records), batch_size):
-        chunk = records[i:i + batch_size]
-        seqs = [encode(tokenize(r.code, "code"), code_vocab,
-                       max_input_length) for r in chunk]
-        hidden = model.encode_batch(seqs, "code")
-        projected = model.project(hidden, "code")
-        _, probs = model.classify(projected)
-        for rec, p in zip(chunk, probs.data[:, 0]):
+        _, probs = model.classify(ad.constant(projected[i:i + batch_size]))
+        for rec, p in zip(records[i:i + batch_size], probs.data[:, 0]):
             p = float(p)
             preds.append(Prediction(
                 id=rec.id, probability=p, predicted=int(p > threshold),
@@ -216,8 +226,8 @@ def latency_bench(model, records, code_vocab, repetitions=3, batch_size=1,
                     max_input_length=max_input_length, batch_size=batch_size)
             dt = time.perf_counter() - t0
             per_sample.extend([dt / len(chunk)] * len(chunk))
-    assert model.text_invocations == counter_before, \
-        "text encoder invoked during code-only benchmarking"
+    if model.text_invocations != counter_before:
+        raise EvalError("text encoder invoked during code-only benchmarking")
     arr = np.asarray(per_sample)
     return LatencyReport(
         mean_s=float(arr.mean()),

@@ -31,13 +31,6 @@ class LossWeights:
 
 
 @dataclass
-class SimilarityMatrix:
-    entries: "ad.Tensor"
-    view: str
-    gamma: float
-
-
-@dataclass
 class LossBreakdown:
     clip_orig: float
     clip_aug: float
@@ -46,7 +39,7 @@ class LossBreakdown:
     total: float
 
 
-def similarity_matrix(code_rows, text_rows, gamma, view="original"):
+def similarity_matrix(code_rows, text_rows, gamma):
     """Scaled cosine similarities; entry (i, j) pairs code i with text j."""
     if code_rows.data.shape[0] != text_rows.data.shape[0]:
         raise LossError(
@@ -54,38 +47,31 @@ def similarity_matrix(code_rows, text_rows, gamma, view="original"):
             f"vs {text_rows.data.shape[0]}")
     raw = ad.matmul(code_rows, ad.transpose(text_rows))
     if isinstance(gamma, ad.Tensor):
-        entries = ad.mul(raw, gamma)
-        gamma_value = gamma.item()
-    else:
-        entries = ad.scale(raw, float(gamma))
-        gamma_value = float(gamma)
-    return SimilarityMatrix(entries=entries, view=view, gamma=gamma_value)
+        return ad.mul(raw, gamma)
+    return ad.scale(raw, float(gamma))
 
 
 def clip_loss(sim):
     """Symmetric InfoNCE over a square similarity matrix, computed with
     max-shifted log-sum-exp."""
-    entries = sim.entries if isinstance(sim, SimilarityMatrix) else sim
-    n, m = entries.data.shape
+    n, m = sim.data.shape
     if n != m:
         raise LossError(f"clip_loss: matrix must be square, got {n}x{m}")
     eye = ad.constant(np.eye(n))
-    diag_sum = ad.sum_all(ad.mul(entries, eye))
-    row_lse = ad.sum_all(ad.row_logsumexp(entries))
-    col_lse = ad.sum_all(ad.row_logsumexp(ad.transpose(entries)))
+    diag_sum = ad.sum_all(ad.mul(sim, eye))
+    row_lse = ad.sum_all(ad.row_logsumexp(sim))
+    col_lse = ad.sum_all(ad.row_logsumexp(ad.transpose(sim)))
     total = ad.sub(ad.add(row_lse, col_lse), ad.scale(diag_sum, 2.0))
     return ad.scale(total, 1.0 / (2.0 * n))
 
 
 def dual_clip_loss(sim_orig, sim_aug, weights):
-    e_o = sim_orig.entries if isinstance(sim_orig, SimilarityMatrix) else sim_orig
-    e_a = sim_aug.entries if isinstance(sim_aug, SimilarityMatrix) else sim_aug
-    if e_o.data.shape != e_a.data.shape:
+    if sim_orig.data.shape != sim_aug.data.shape:
         raise LossError(
-            f"dual_clip_loss: view shapes differ, {e_o.data.shape} vs "
-            f"{e_a.data.shape}")
-    return ad.add(ad.scale(clip_loss(e_o), weights.clip_orig),
-                  ad.scale(clip_loss(e_a), weights.clip_aug))
+            f"dual_clip_loss: view shapes differ, {sim_orig.data.shape} vs "
+            f"{sim_aug.data.shape}")
+    return ad.add(ad.scale(clip_loss(sim_orig), weights.clip_orig),
+                  ad.scale(clip_loss(sim_aug), weights.clip_aug))
 
 
 def consistency_loss(z_code, z_code_aug, z_text, z_text_aug):

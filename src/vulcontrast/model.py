@@ -48,14 +48,6 @@ class EncoderConfig:
                 f"{self.num_heads} heads")
 
 
-@dataclass
-class EmbeddingBatch:
-    hidden: "ad.Tensor"
-    projected: "ad.Tensor"
-    modality: str
-    view: str  # "original" | "augmented"
-
-
 class DualEncoderModel:
     """All learnable state: two encoders, two projection heads, the logit
     scale and the classifier head."""
@@ -107,12 +99,8 @@ class DualEncoderModel:
     def parameters(self):
         return self.params
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = np.zeros_like(p.data)
-
     def logit_scale(self):
-        """gamma = exp(s), clamped to [1, 100] at use sites."""
+        """gamma = exp(s), clamped to [LOGIT_SCALE_MIN, LOGIT_SCALE_MAX]."""
         return ad.clamp(ad.exp(self.params["logit_scale"]),
                         LOGIT_SCALE_MIN, LOGIT_SCALE_MAX)
 
@@ -194,9 +182,3 @@ class DualEncoderModel:
         logits = ad.add(ad.matmul(h, P["cls.w2"]), P["cls.b2"])
         probs = ad.sigmoid(logits)
         return logits, probs
-
-    def embed_and_project(self, sequences, modality, view="original"):
-        hidden = self.encode_batch(sequences, modality)
-        projected = self.project(hidden, modality)
-        return EmbeddingBatch(hidden=hidden, projected=projected,
-                              modality=modality, view=view)

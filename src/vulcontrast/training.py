@@ -10,9 +10,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .augment import AugConfig, augment_tokens, _substream
-from .data import TokenSequence, build_vocab, encode, tokenize
-from .losses import LossWeights, LossBreakdown, similarity_matrix, total_loss
+from .augment import augment_tokens, _substream
+from .data import build_vocab, encode, tokenize
+from .losses import LossWeights, similarity_matrix, total_loss
 from .model import DualEncoderModel, EncoderConfig
 
 CHECKPOINT_VERSION = 1
@@ -56,6 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1 or self.learning_rate <= 0:
             raise TrainError(f"invalid training config: {self}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise TrainError(f"alpha {self.alpha} must lie in [0, 1]")
         w = self.weights
         if self.fine_tuning_only:
             w = LossWeights(0.0, 0.0, 0.0, w.classification)
@@ -142,12 +144,6 @@ class TrainResult:
     text_vocab: object
 
 
-def _encode_record(record, code_vocab, text_vocab, max_len):
-    code_tokens = tokenize(record.code, "code")
-    text_tokens = tokenize(record.comment, "text")
-    return code_tokens, text_tokens
-
-
 def _batches(indices, batch_size):
     for i in range(0, len(indices), batch_size):
         yield indices[i:i + batch_size]
@@ -172,11 +168,11 @@ def train(records, validation, config, log_path=None, progress=None):
     optimizer = AdamOptimizer(model.parameters(), config.learning_rate,
                               config.weight_decay)
 
-    tokenized = [_encode_record(r, code_vocab, text_vocab,
-                                config.max_input_length) for r in records]
-    train_text_only = (config.weights.clip_orig == 0
-                       and config.weights.clip_aug == 0
-                       and config.weights.consistency == 0)
+    tokenized = [(tokenize(r.code, "code"), tokenize(r.comment, "text"))
+                 for r in records]
+    contrastive = (config.weights.clip_orig != 0
+                   or config.weights.clip_aug != 0
+                   or config.weights.consistency != 0)
 
     log_rows = []
     epoch_logs = []
@@ -190,7 +186,6 @@ def train(records, validation, config, log_path=None, progress=None):
         order = shuffle_rng.permutation(len(records))
         aug_epoch = epoch if config.resample_augmentation else 0
         for batch_idx in _batches(list(order), config.batch_size):
-            batch = [records[i] for i in batch_idx]
             step += 1
             code_seqs, code_aug_seqs, text_seqs, text_aug_seqs = [], [], [], []
             labels = []
@@ -200,7 +195,7 @@ def train(records, validation, config, log_path=None, progress=None):
                 code_seqs.append(encode(code_tokens, code_vocab,
                                         config.max_input_length))
                 labels.append(rec.label)
-                if not train_text_only:
+                if contrastive:
                     code_aug = augment_tokens(
                         code_tokens, config.alpha,
                         _substream(config.seed, rec.id, "code", aug_epoch))
@@ -217,10 +212,7 @@ def train(records, validation, config, log_path=None, progress=None):
             z_code = model.project(model.encode_batch(code_seqs, "code"),
                                    "code")
             _, probs = model.classify(z_code)
-            if train_text_only:
-                z_code_aug = z_text = z_text_aug = z_code
-                sim_o = sim_a = None
-            else:
+            if contrastive:
                 z_code_aug = model.project(
                     model.encode_batch(code_aug_seqs, "code"), "code")
                 z_text = model.project(
@@ -228,9 +220,11 @@ def train(records, validation, config, log_path=None, progress=None):
                 z_text_aug = model.project(
                     model.encode_batch(text_aug_seqs, "text"), "text")
                 gamma = model.logit_scale()
-                sim_o = similarity_matrix(z_code, z_text, gamma, "original")
-                sim_a = similarity_matrix(z_code_aug, z_text_aug, gamma,
-                                          "augmented")
+                sim_o = similarity_matrix(z_code, z_text, gamma)
+                sim_a = similarity_matrix(z_code_aug, z_text_aug, gamma)
+            else:
+                z_code_aug = z_text = z_text_aug = z_code
+                sim_o = sim_a = None
             loss, breakdown = total_loss(
                 sim_o, sim_a, z_code, z_code_aug, z_text, z_text_aug,
                 probs, labels, config.weights)
@@ -239,9 +233,7 @@ def train(records, validation, config, log_path=None, progress=None):
             ad.backward(loss)
             optimizer.clip_gradients()
             optimizer.step()
-            gamma_value = float(np.clip(
-                np.exp(model.params["logit_scale"].data[0, 0]), 1.0, 100.0))
-            log_rows.append((step, breakdown, gamma_value))
+            log_rows.append((step, breakdown, model.logit_scale().item()))
 
         val_metrics = None
         if validation:

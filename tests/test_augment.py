@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulcontrast.augment import (AugConfig, augment_tokens,
-                                 make_augmented_views, random_delete,
+from vulcontrast.augment import (augment_tokens, random_delete,
                                  random_swap, _substream)
 
 TOKENS = [f"t{i}" for i in range(10)]
@@ -13,6 +12,15 @@ TOKENS = [f"t{i}" for i in range(10)]
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def views(example_id, code_tokens, text_tokens, alpha, seed):
+    """The (code, text) augmented views of one example, drawn from their
+    substreams the way training draws them."""
+    return (augment_tokens(code_tokens, alpha,
+                           _substream(seed, example_id, "code")),
+            augment_tokens(text_tokens, alpha,
+                           _substream(seed, example_id, "text")))
 
 
 class TestRandomSwap:
@@ -75,24 +83,20 @@ class TestRandomDelete:
 
 class TestViews:
     def test_alpha_zero_views_equal_originals(self):
-        config = AugConfig(alpha=0.0, seed=5)
-        code, text = make_augmented_views("x", ["a", "b"], ["c", "d"],
-                                          config)
-        assert code.augmented.tokens == ["a", "b"]
-        assert text.augmented.tokens == ["c", "d"]
+        code, text = views("x", ["a", "b"], ["c", "d"], 0.0, 5)
+        assert code == ["a", "b"]
+        assert text == ["c", "d"]
 
     def test_single_token_inputs_unchanged(self):
-        config = AugConfig(alpha=0.9, seed=5)
-        code, text = make_augmented_views("x", ["only"], ["word"], config)
-        assert code.augmented.tokens == ["only"]
-        assert text.augmented.tokens == ["word"]
+        code, text = views("x", ["only"], ["word"], 0.9, 5)
+        assert code == ["only"]
+        assert text == ["word"]
 
     def test_deterministic_per_example_and_seed(self):
-        config = AugConfig(alpha=0.3, seed=11)
-        a = make_augmented_views("ex-1", TOKENS, TOKENS, config)
-        b = make_augmented_views("ex-1", TOKENS, TOKENS, config)
-        assert a[0].augmented.tokens == b[0].augmented.tokens
-        assert a[1].augmented.tokens == b[1].augmented.tokens
+        a = views("ex-1", TOKENS, TOKENS, 0.3, 11)
+        b = views("ex-1", TOKENS, TOKENS, 0.3, 11)
+        assert a[0] == b[0]
+        assert a[1] == b[1]
 
     def test_views_use_independent_substreams(self):
         s_code = _substream(7, "ex", "code")
@@ -107,5 +111,6 @@ class TestViews:
         assert a != b
 
     def test_alpha_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            AugConfig(alpha=1.5)
+        for alpha in (1.5, -0.3):
+            with pytest.raises(ValueError):
+                augment_tokens(TOKENS, alpha, _substream(0, "x", "code"))

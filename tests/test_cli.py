@@ -1,9 +1,12 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from vulcontrast.cli import EXIT_CONTRACT, EXIT_IO, EXIT_OK, run
-from vulcontrast.data import load_jsonl
+from vulcontrast.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_OK,
+                             _build_train_config, build_parser, run)
+from vulcontrast.data import DatasetError, load_jsonl
+from vulcontrast.training import TrainConfig
 
 
 TRAIN_CONFIG = """\
@@ -137,6 +140,38 @@ class TestTrain:
         assert run(["train", "--train",
                     str(workdir / "train.commented.jsonl"),
                     "--config", str(bad)]) == EXIT_CONTRACT
+
+
+def config_from_file(path):
+    args = build_parser().parse_args(
+        ["train", "--train", "unused.jsonl", "--config", str(path)])
+    return _build_train_config(args)
+
+
+def flat_config(config):
+    flat = asdict(config)
+    flat.update(flat.pop("weights"))
+    return flat
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("line", ["fine_tuning_only = ture",
+                                      "epochs = ten", "alpha = 0.0.5"])
+    def test_bad_value_rejected_naming_key(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(DatasetError, match=line.split()[0]):
+            config_from_file(path)
+
+    def test_every_field_round_trips(self, tmp_path):
+        config = TrainConfig()
+        flat = flat_config(config)
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in flat.items()))
+        loaded = config_from_file(path)
+        assert loaded == config
+        assert {k: type(v) for k, v in flat_config(loaded).items()} == \
+            {k: type(v) for k, v in flat.items()}
 
 
 class TestEval:

@@ -39,6 +39,14 @@ class TestLoadJsonl:
         with pytest.raises(DatasetError, match="line 2"):
             load_jsonl(path)
 
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id":"a","code":"x","label":0}\n'
+                        '{"id":"b","code":"y","label":1}\n'
+                        '{"id":"a","code":"z","label":1}\n')
+        with pytest.raises(DatasetError, match="'a' on lines 1 and 3"):
+            load_jsonl(path)
+
     def test_bad_cwe_rejected(self):
         with pytest.raises(DatasetError, match="CWE"):
             rec(0, 1, cwe=["CWE-abc"])

@@ -216,6 +216,15 @@ class TestPca:
             pca_project(np.ones((5, 3)), [0] * 5)
 
 
+class TextPeekingModel(DualEncoderModel):
+    """Runs the text encoder whenever it encodes code."""
+
+    def encode_batch(self, sequences, modality):
+        if modality == "code":
+            super().encode_batch(sequences, "text")
+        return super().encode_batch(sequences, modality)
+
+
 class TestLatency:
     def test_report_shape(self, small_model):
         model, records, vocab = small_model
@@ -237,6 +246,14 @@ class TestLatency:
         model, records, vocab = small_model
         with pytest.raises(EvalError):
             latency_bench(model, records[:2], vocab, repetitions=2)
+
+    def test_text_encoder_use_raises(self, small_model):
+        model, records, vocab = small_model
+        peeking = TextPeekingModel(model.code_config, model.text_config,
+                                   seed=1)
+        with pytest.raises(EvalError, match="text encoder"):
+            latency_bench(peeking, records[:2], vocab, repetitions=3,
+                          max_input_length=128)
 
 
 def build_fn_universe(region_sizes):

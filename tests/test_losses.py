@@ -19,18 +19,18 @@ class TestSimilarityMatrix:
     def test_identical_rows_unit_diagonal(self):
         rows = ad.constant(unit_rows(3, 4, 1))
         sim = similarity_matrix(rows, rows, 1.0)
-        assert np.allclose(np.diag(sim.entries.data), 1.0)
+        assert np.allclose(np.diag(sim.data), 1.0)
 
     def test_orthogonal_rows_zero_matrix(self):
         code = ad.constant([[1.0, 0.0], [0.0, 1.0]])
         text = ad.constant([[0.0, 1.0], [1.0, 0.0]])
         sim = similarity_matrix(code, text, 2.0)
-        assert np.allclose(np.diag(sim.entries.data), 0.0)
+        assert np.allclose(np.diag(sim.data), 0.0)
 
     def test_matches_brute_force_at_gamma_14(self):
         code, text = unit_rows(4, 6, 2), unit_rows(4, 6, 3)
         sim = similarity_matrix(ad.constant(code), ad.constant(text), 14.0)
-        assert np.allclose(sim.entries.data, 14.0 * code @ text.T,
+        assert np.allclose(sim.data, 14.0 * code @ text.T,
                            atol=1e-9)
 
     def test_batch_mismatch_rejected(self):
@@ -161,8 +161,8 @@ def random_batch(B=4, d=6, seed=0):
     rng = np.random.default_rng(seed)
     mk = lambda s: ad.constant(unit_rows(B, d, s))
     z_c, z_ca, z_t, z_ta = (mk(seed + k) for k in range(4))
-    sim_o = similarity_matrix(z_c, z_t, 14.0, "original")
-    sim_a = similarity_matrix(z_ca, z_ta, 14.0, "augmented")
+    sim_o = similarity_matrix(z_c, z_t, 14.0)
+    sim_a = similarity_matrix(z_ca, z_ta, 14.0)
     probs = ad.sigmoid(ad.constant(rng.normal(size=(B, 1))))
     labels = list(rng.integers(0, 2, size=B))
     return sim_o, sim_a, z_c, z_ca, z_t, z_ta, probs, labels

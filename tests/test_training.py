@@ -152,6 +152,11 @@ class TestConfigAblations:
         with pytest.raises(TrainError):
             small_config(batch_size=0)
 
+    def test_alpha_outside_unit_interval_rejected(self):
+        for alpha in (1.5, -0.3):
+            with pytest.raises(TrainError, match="alpha"):
+                small_config(alpha=alpha)
+
 
 class TestTrainLoop:
     def test_missing_comment_rejected(self):
