@@ -37,17 +37,24 @@ def _emit(obj, output):
 
 
 def _read_config_file(path):
-    """Flat key = value file; '#' starts a comment."""
+    """Flat key = value file; '#' starts a comment; each key appears once."""
     values = {}
+    line_of_key = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise DatasetError(f"{path}: bad config line {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value.strip('"')
+            key = key.replace("-", "_")
+            if key in line_of_key:
+                raise DatasetError(
+                    f"{path}: config key {key} repeated on lines "
+                    f"{line_of_key[key]} and {lineno}")
+            line_of_key[key] = lineno
+            values[key] = value.strip('"')
     return values
 
 
@@ -92,10 +99,13 @@ def _save_vocabs(path, code_vocab, text_vocab):
                    "text": text_vocab.token_to_id}, fh, sort_keys=True)
 
 
-def _load_vocabs(path):
-    with open(path + ".vocab.json", "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return (Vocabulary(obj["code"], "code"), Vocabulary(obj["text"], "text"))
+def _load_for_inference(args):
+    """The model and manifest of --checkpoint, its code vocabulary, and the
+    records of --input."""
+    model, manifest = load_checkpoint(args.checkpoint)
+    with open(args.checkpoint + ".vocab.json", "r", encoding="utf-8") as fh:
+        code_vocab = Vocabulary(json.load(fh)["code"], "code")
+    return model, manifest, code_vocab, load_jsonl(args.input)
 
 
 # ------------------------------------------------------------- subcommands
@@ -158,8 +168,7 @@ def _cmd_train(args):
     result, log_rows = train(train_records, val_records, config,
                              log_path=args.loss_log)
     if args.checkpoint:
-        save_checkpoint(result.model, args.checkpoint, step=len(log_rows),
-                        seed=config.seed)
+        save_checkpoint(result.model, args.checkpoint, step=len(log_rows))
         _save_vocabs(args.checkpoint, result.code_vocab, result.text_vocab)
     summary = {
         "config": asdict(config),
@@ -174,9 +183,7 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    model, manifest = load_checkpoint(args.checkpoint)
-    code_vocab, _ = _load_vocabs(args.checkpoint)
-    records = load_jsonl(args.input)
+    model, manifest, code_vocab, records = _load_for_inference(args)
     preds = predict(model, records, code_vocab, threshold=args.threshold,
                     max_input_length=model.code_config.max_input_length,
                     method=args.method)
@@ -196,9 +203,7 @@ def _cmd_eval(args):
 
 
 def _cmd_ood_eval(args):
-    model, manifest = load_checkpoint(args.checkpoint)
-    code_vocab, _ = _load_vocabs(args.checkpoint)
-    records = load_jsonl(args.input)
+    model, manifest, code_vocab, records = _load_for_inference(args)
     metrics, _ = cross_dataset_eval(
         model, records, code_vocab, threshold=args.threshold,
         max_input_length=model.code_config.max_input_length,
@@ -212,13 +217,11 @@ def _cmd_ood_eval(args):
 
 
 def _cmd_pca_export(args):
-    model, manifest = load_checkpoint(args.checkpoint)
-    code_vocab, _ = _load_vocabs(args.checkpoint)
-    records = load_jsonl(args.input)
+    model, manifest, code_vocab, records = _load_for_inference(args)
     embeddings = embed_code(model, records, code_vocab,
                             model.code_config.max_input_length)
     proj = pca_project(embeddings, [r.label for r in records],
-                       ids=[r.id for r in records], seed=args.seed or 0)
+                       ids=[r.id for r in records])
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("id,pc1,pc2,label\n")
         for rid, pc1, pc2, label in proj.coordinates:
@@ -229,9 +232,7 @@ def _cmd_pca_export(args):
 
 
 def _cmd_bench_latency(args):
-    model, manifest = load_checkpoint(args.checkpoint)
-    code_vocab, _ = _load_vocabs(args.checkpoint)
-    records = load_jsonl(args.input)
+    model, manifest, code_vocab, records = _load_for_inference(args)
     report = latency_bench(model, records, code_vocab,
                            repetitions=args.repetitions,
                            batch_size=args.batch_size,
@@ -342,7 +343,6 @@ def build_parser():
     p = sub.add_parser("pca-export", help="2-D PCA of code embeddings")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_pca_export)
 

@@ -49,6 +49,11 @@ Output ONLY the final sentence."""
 
 FORBIDDEN_WORDS = ("security", "vulnerable", "vulnerability")
 
+TEMPERATURE = 0.0
+MAX_TOKENS = 128
+# the client errors that a later attempt may cure: timeout, rate limit
+RETRYABLE_4XX = (408, 429)
+
 
 class CommentError(RuntimeError):
     pass
@@ -69,8 +74,6 @@ class ProviderConfig:
     timeout: float = 30.0
     max_retries: int = 3
     backoff_base: float = 1.0
-    temperature: float = 0.0
-    max_tokens: int = 128
 
     def __post_init__(self):
         if self.mode not in ("stub", "remote"):
@@ -111,6 +114,19 @@ def generate_comment_stub(record):
             f"{len(identifiers)} identifier tokens.")
 
 
+def _reply_content(resp):
+    """The assistant text of a 200 response, which must have the shape
+    {"choices": [{"message": {"content": str}}]}."""
+    try:
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError):
+        content = None
+    if not isinstance(content, str):
+        raise RemoteError(f"chat endpoint returned a malformed body: "
+                          f"{resp.text[:200]!r}", status=200)
+    return content
+
+
 def _post_chat(config, messages):
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(config.auth_env)
@@ -119,20 +135,24 @@ def _post_chat(config, messages):
     body = {
         "model": config.model,
         "messages": messages,
-        "temperature": config.temperature,
-        "max_tokens": config.max_tokens,
+        "temperature": TEMPERATURE,
+        "max_tokens": MAX_TOKENS,
     }
     last_status = None
     for attempt in range(config.max_retries + 1):
         try:
             resp = requests.post(config.endpoint, json=body, headers=headers,
                                  timeout=config.timeout)
-            last_status = resp.status_code
-            if resp.status_code == 200:
-                payload = resp.json()
-                return payload["choices"][0]["message"]["content"]
         except requests.RequestException:
             last_status = None
+        else:
+            last_status = resp.status_code
+            if last_status == 200:
+                return _reply_content(resp)
+            if 400 <= last_status < 500 and last_status not in RETRYABLE_4XX:
+                raise RemoteError(
+                    f"chat endpoint rejected the request "
+                    f"(HTTP status: {last_status})", status=last_status)
         if attempt < config.max_retries:
             time.sleep(config.backoff_base * (2 ** attempt))
     raise RemoteError(

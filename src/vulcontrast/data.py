@@ -194,7 +194,7 @@ def _format_ratio(n_neg, n_pos):
     return f"{left:.2f}:{right:g}"
 
 
-def dataset_stats(records, vocab=None):
+def dataset_stats(records):
     if not records:
         raise DatasetError("dataset_stats: empty record list")
     locs, nlocs, ntoks = [], [], []

@@ -154,29 +154,9 @@ def cross_dataset_eval(model, target_records, source_code_vocab,
 
 # --------------------------------------------------------------------- PCA
 
-def _power_iteration(cov, rng, tol=1e-9, max_iter=1000):
-    v = rng.standard_normal(cov.shape[0])
-    v /= np.linalg.norm(v)
-    value = 0.0
-    for _ in range(max_iter):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            break
-        w /= norm
-        if np.linalg.norm(w - v) < tol or np.linalg.norm(w + v) < tol:
-            v = w
-            value = float(v @ cov @ v)
-            break
-        v = w
-        value = norm
-    else:
-        value = float(v @ cov @ v)
-    return v, float(value)
-
-
-def pca_project(embeddings, labels, ids=None, seed=0):
-    """Top-2 principal components by power iteration with deflation."""
+def pca_project(embeddings, labels, ids=None):
+    """Top-2 principal components from the dense eigendecomposition of the
+    covariance; each component's largest-magnitude entry is positive."""
     X = np.asarray(embeddings, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 3 or X.shape[1] < 2:
         raise EvalError("pca_project: need >= 3 rows and dimension >= 2")
@@ -185,17 +165,16 @@ def pca_project(embeddings, labels, ids=None, seed=0):
         raise EvalError("pca_project: rank-0 data (all rows equal)")
     cov = (Xc.T @ Xc) / (X.shape[0] - 1)
     total_var = float(np.trace(cov))
-    rng = np.random.default_rng(seed)
+    values, vectors = np.linalg.eigh(cov)  # ascending eigenvalues
 
     comps, ratios = [], []
-    work = cov.copy()
-    for _ in range(2):
-        v, value = _power_iteration(work, rng)
+    for k in (-1, -2):
+        v = vectors[:, k]
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
         comps.append(v)
-        ratios.append(max(0.0, value) / total_var if total_var > 0 else 0.0)
-        work = work - value * np.outer(v, v)
+        # the rank-0 check above makes total_var positive
+        ratios.append(max(0.0, float(values[k])) / total_var)
     components = np.vstack(comps)
     coords = Xc @ components.T
     if ids is None:
@@ -203,7 +182,7 @@ def pca_project(embeddings, labels, ids=None, seed=0):
     coordinates = [(rid, float(c[0]), float(c[1]), int(lbl))
                    for rid, c, lbl in zip(ids, coords, labels)]
     return PcaProjection(components=components,
-                         explained_ratios=[float(r) for r in ratios],
+                         explained_ratios=ratios,
                          coordinates=coordinates)
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from .data import FunctionRecord
 
 UNSAFE_PATTERN = ("execraw", "(", "userbuf")
+NOISE_FRAC = 0.3
 
 _RETURN_TYPES = ["int", "void", "char", "long"]
 _NAMES = ["copyblock", "parseheader", "readfield", "updatestate",
@@ -35,17 +36,17 @@ def _body(rng):
     ]
 
 
-def _with_noise(tokens, rng, noise_frac):
-    # insert noise so ~noise_frac of the output tokens are distractors
+def _with_noise(tokens, rng):
+    # insert noise so ~NOISE_FRAC of the output tokens are distractors
     out = []
     for tok in tokens:
         out.append(tok)
-        if rng.random() < noise_frac / (1.0 - noise_frac):
+        if rng.random() < NOISE_FRAC / (1.0 - NOISE_FRAC):
             out.append(_noise_token(rng))
     return out
 
 
-def generate_fixture(n=400, seed=13, noise_frac=0.3):
+def generate_fixture(n=400, seed=13):
     """Balanced record set; positives carry one planted unsafe call and a
     CWE tag."""
     rng = np.random.default_rng(seed)
@@ -62,7 +63,7 @@ def generate_fixture(n=400, seed=13, noise_frac=0.3):
                                 if t == ";"]
             at = boundaries[rng.integers(0, len(boundaries))]
             body = body[:at] + insert + body[at:]
-        tokens = header + _with_noise(body, rng, noise_frac) + \
+        tokens = header + _with_noise(body, rng) + \
             ["return", "0", ";", "}"]
         code = " ".join(tokens)
         cwe = [str(rng.choice(_CWES))] if label == 1 else None

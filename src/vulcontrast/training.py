@@ -47,7 +47,6 @@ class TrainConfig:
     ff_dim: int = 128
     proj_dim: int = 32
     vocab_size: int = 2048
-    resample_augmentation: bool = True
     disable_aug_alignment: bool = False
     disable_consistency: bool = False
     fine_tuning_only: bool = False
@@ -90,14 +89,14 @@ class AdamOptimizer:
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
-    def clip_gradients(self, max_norm=GRAD_CLIP_NORM):
+    def clip_gradients(self):
         total = 0.0
         for p in self.params.values():
             if p.grad is not None:
                 total += float((p.grad ** 2).sum())
         norm = np.sqrt(total)
-        if norm > max_norm and norm > 0:
-            scale = max_norm / norm
+        if norm > GRAD_CLIP_NORM:
+            scale = GRAD_CLIP_NORM / norm
             for p in self.params.values():
                 if p.grad is not None:
                     p.grad *= scale
@@ -184,7 +183,6 @@ def train(records, validation, config, log_path=None, progress=None):
     for epoch in range(config.epochs):
         shuffle_rng = np.random.default_rng([config.seed, epoch, 0xC0DE])
         order = shuffle_rng.permutation(len(records))
-        aug_epoch = epoch if config.resample_augmentation else 0
         for batch_idx in _batches(list(order), config.batch_size):
             step += 1
             code_seqs, code_aug_seqs, text_seqs, text_aug_seqs = [], [], [], []
@@ -198,10 +196,10 @@ def train(records, validation, config, log_path=None, progress=None):
                 if contrastive:
                     code_aug = augment_tokens(
                         code_tokens, config.alpha,
-                        _substream(config.seed, rec.id, "code", aug_epoch))
+                        _substream(config.seed, rec.id, "code", epoch))
                     text_aug = augment_tokens(
                         text_tokens, config.alpha,
-                        _substream(config.seed, rec.id, "text", aug_epoch))
+                        _substream(config.seed, rec.id, "text", epoch))
                     text_seqs.append(encode(text_tokens, text_vocab,
                                             config.max_input_length))
                     code_aug_seqs.append(encode(code_aug, code_vocab,
@@ -277,14 +275,14 @@ def write_loss_log(log_rows, path):
 
 # ------------------------------------------------------------- checkpoints
 
-def save_checkpoint(model, path, step=0, seed=None):
+def save_checkpoint(model, path, step=0):
     names = sorted(model.params)
     manifest = {
         "version": CHECKPOINT_VERSION,
         "code_config": asdict(model.code_config),
         "text_config": asdict(model.text_config),
         "step": step,
-        "seed": model.seed if seed is None else seed,
+        "seed": model.seed,
         "parameters": {},
     }
     offset = 0
@@ -322,6 +320,8 @@ def load_checkpoint(path):
         raise CheckpointError(f"unknown or missing parameter: {missing[0]}")
     for name, meta in manifest["parameters"].items():
         lo, n = meta["offset"], meta["length"]
+        if n != 8 * int(np.prod(meta["shape"])):
+            raise CheckpointError(f"length mismatch for parameter {name}")
         if lo + n > len(payload):
             raise CheckpointError(f"truncated payload for parameter {name}")
         arr = np.frombuffer(payload[lo:lo + n], dtype="<f8").reshape(

@@ -10,12 +10,18 @@ class MockChatServer:
     """Serves scripted assistant replies and can inject failures.
 
     responses: list of strings returned (in order) as assistant content.
-    fail_times: number of leading requests answered with HTTP 500.
+    fail_times: number of leading requests answered with `fail_status`.
+    fail_status: HTTP status of those failures (500 by default).
+    raw_body: bytes sent as the body of every HTTP 200 reply in place of a
+        well-formed chat-completions payload.
     """
 
-    def __init__(self, responses, fail_times=0):
+    def __init__(self, responses, fail_times=0, fail_status=500,
+                 raw_body=None):
         self.responses = list(responses)
         self.fail_times = fail_times
+        self.fail_status = fail_status
+        self.raw_body = raw_body
         self.requests = []
         self._lock = threading.Lock()
         outer = self
@@ -31,16 +37,19 @@ class MockChatServer:
                     })
                     if outer.fail_times > 0:
                         outer.fail_times -= 1
-                        self.send_response(500)
+                        self.send_response(outer.fail_status)
                         self.end_headers()
                         return
-                    content = outer.responses[outer._served]
-                    outer._served = min(outer._served + 1,
-                                        len(outer.responses) - 1)
-                payload = json.dumps({
-                    "choices": [{"message": {"role": "assistant",
-                                             "content": content}}]
-                }).encode()
+                    if outer.raw_body is not None:
+                        payload = outer.raw_body
+                    else:
+                        content = outer.responses[outer._served]
+                        outer._served = min(outer._served + 1,
+                                            len(outer.responses) - 1)
+                        payload = json.dumps({
+                            "choices": [{"message": {"role": "assistant",
+                                                     "content": content}}]
+                        }).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))

@@ -163,6 +163,13 @@ class TestConfigFile:
         with pytest.raises(DatasetError, match=line.split()[0]):
             config_from_file(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("epochs = 3\nbatch-size = 4\n\nepochs = 7\n")
+        with pytest.raises(DatasetError,
+                           match="epochs repeated on lines 1 and 4"):
+            config_from_file(path)
+
     def test_every_field_round_trips(self, tmp_path):
         config = TrainConfig()
         flat = flat_config(config)

@@ -1,5 +1,6 @@
 import pytest
 
+from vulcontrast import comments
 from vulcontrast.comments import (CommentError, CritiqueTranscript,
                                   HARD_CONSTRAINTS, ProviderConfig,
                                   RemoteError, attach_comments,
@@ -69,10 +70,12 @@ class TestRemoteProtocol:
             system = server.requests[0]["body"]["messages"][0]
             assert system["role"] == "system"
             assert HARD_CONSTRAINTS in system["content"]
-            # every turn carries the same system message
+            # every turn carries the same system message and sampling
             for req in server.requests:
                 assert HARD_CONSTRAINTS in \
                     req["body"]["messages"][0]["content"]
+                assert req["body"]["temperature"] == 0.0
+                assert req["body"]["max_tokens"] == 128
         assert isinstance(out, CritiqueTranscript)
         assert out.final == self.RESPONSES[2]
         assert out.draft == self.RESPONSES[0]
@@ -107,6 +110,40 @@ class TestRemoteProtocol:
                 generate_comment_llm(FACTORIAL,
                                      remote_config(server.url, retries=1))
             assert err.value.status == 500
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_retryable_client_errors_are_retried(self, status):
+        with MockChatServer(self.RESPONSES, fail_times=2,
+                            fail_status=status) as server:
+            out = generate_comment_llm(FACTORIAL,
+                                       remote_config(server.url, retries=2))
+            assert out.draft == self.RESPONSES[0]
+            assert len(server.requests) == 5
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+    def test_other_client_errors_fail_at_once(self, status, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(comments.time, "sleep", sleeps.append)
+        with MockChatServer(self.RESPONSES, fail_times=1,
+                            fail_status=status) as server:
+            with pytest.raises(RemoteError) as err:
+                generate_comment_llm(FACTORIAL,
+                                     remote_config(server.url, retries=3))
+            assert len(server.requests) == 1
+        assert err.value.status == status
+        assert sleeps == []
+
+    @pytest.mark.parametrize("body", [
+        b'{"choices": []}', b"{}", b"[]", b"not json",
+        b'{"choices": [{"message": null}]}',
+        b'{"choices": [{"message": {"content": 7}}]}'])
+    def test_malformed_200_body_raises_remote_error(self, body):
+        with MockChatServer([], raw_body=body) as server:
+            with pytest.raises(RemoteError, match="malformed") as err:
+                generate_comment_llm(FACTORIAL,
+                                     remote_config(server.url, retries=2))
+            assert len(server.requests) == 1
+        assert err.value.status == 200
 
     def test_multi_sentence_final_trimmed(self):
         responses = list(self.RESPONSES)
@@ -156,6 +193,12 @@ class TestAttachComments:
                                 timeout=0.2)
         with pytest.raises(CommentError, match="all comment generations"):
             attach_comments(self.records(), config)
+
+    def test_malformed_body_is_a_comment_error(self):
+        with MockChatServer([], raw_body=b'{"choices": []}') as server:
+            with pytest.raises(CommentError, match="r0: .*malformed"):
+                attach_comments(self.records()[:1],
+                                remote_config(server.url))
 
     def test_order_preserved(self):
         out, _ = attach_comments(self.records(), ProviderConfig())

@@ -171,17 +171,28 @@ class TestPca:
                            atol=1e-6)
 
     def test_matches_dense_eigensolver(self):
-        X = np.random.default_rng(1).normal(size=(40, 6))
-        proj = pca_project(X, [0] * 40)
-        Xc = X - X.mean(axis=0)
-        cov = Xc.T @ Xc / (len(X) - 1)
-        values, vectors = np.linalg.eigh(cov)
-        order = np.argsort(values)[::-1]
-        top = vectors[:, order[:2]].T
-        for k in range(2):
-            assert abs(abs(proj.components[k] @ top[k]) - 1.0) < 1e-6
-            expect = values[order[k]] / values.sum()
-            assert abs(proj.explained_ratios[k] - expect) < 1e-6
+        random = np.random.default_rng(1).normal(size=(40, 6))
+        # whitened, then scaled so the top two variances lie within 0.1%
+        # of each other, then rotated off the axes
+        rng = np.random.default_rng(5)
+        Z = rng.normal(size=(200, 4))
+        Z -= Z.mean(axis=0)
+        Z = Z @ np.linalg.inv(np.linalg.cholesky(Z.T @ Z / 199)).T
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        near_tied = Z @ np.diag(np.sqrt([1.0, 0.9995, 0.5, 0.2])) @ q
+        for X in (random, near_tied):
+            proj = pca_project(X, [0] * len(X))
+            Xc = X - X.mean(axis=0)
+            cov = Xc.T @ Xc / (len(X) - 1)
+            values, vectors = np.linalg.eigh(cov)
+            order = np.argsort(values)[::-1]
+            top = vectors[:, order[:2]].T
+            for k in range(2):
+                assert abs(abs(proj.components[k] @ top[k]) - 1.0) < 1e-6
+                expect = values[order[k]] / values.sum()
+                assert abs(proj.explained_ratios[k] - expect) < 1e-6
+            gram = proj.components @ proj.components.T
+            assert np.allclose(gram, np.eye(2), atol=1e-8)
 
     def test_sign_convention(self):
         X = np.random.default_rng(2).normal(size=(25, 4))
@@ -203,9 +214,11 @@ class TestPca:
 
     def test_seed_determinism(self):
         X = np.random.default_rng(4).normal(size=(15, 4))
-        a = pca_project(X, [0] * 15, seed=9)
-        b = pca_project(X, [0] * 15, seed=9)
+        a = pca_project(X, [0] * 15)
+        b = pca_project(X, [0] * 15)
         assert np.array_equal(a.components, b.components)
+        assert a.explained_ratios == b.explained_ratios
+        assert a.coordinates == b.coordinates
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(EvalError):

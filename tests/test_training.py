@@ -341,6 +341,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="shape mismatch"):
             load_checkpoint(path)
 
+    def test_length_not_matching_shape_rejected(self, tmp_path):
+        model = self.make_model()
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(model, path)
+        manifest_path = path + ".manifest.json"
+        for delta in (4, -8):
+            manifest = json.loads(open(manifest_path).read())
+            manifest["parameters"]["proj.code"]["length"] += delta
+            doctored = str(tmp_path / f"doctored{delta}")
+            open(doctored + ".manifest.json", "w").write(
+                json.dumps(manifest))
+            open(doctored + ".params.bin", "wb").write(
+                open(path + ".params.bin", "rb").read())
+            with pytest.raises(CheckpointError,
+                               match="length mismatch for parameter proj"):
+                load_checkpoint(doctored)
+
 
 class TestWriteLossLog:
     def test_format(self, tmp_path):
