@@ -57,10 +57,9 @@ class Tensor:
 
 
 def parameter(data, name):
-    """A named leaf tensor whose gradient persists across backward calls."""
-    t = Tensor(data, name=name)
-    t.grad = np.zeros_like(t.data)
-    return t
+    """A named leaf tensor; its gradient accumulates across backward calls
+    from None, until the optimizer step resets it."""
+    return Tensor(data, name=name)
 
 
 def _check_finite(arr, op):

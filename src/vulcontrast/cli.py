@@ -13,9 +13,8 @@ from .comments import ProviderConfig, attach_comments, CommentError
 from .data import (DatasetError, Vocabulary, dataset_stats, load_jsonl,
                    save_jsonl, stratified_split, tokenize)
 from .evaluation import (EvalError, PredictionSet, Prediction, compute_metrics,
-                         cross_dataset_eval, embed_code,
-                         false_negative_analysis, latency_bench, pca_project,
-                         predict)
+                         embed_code, false_negative_analysis, latency_bench,
+                         pca_project, predict)
 from .fixtures import generate_fixture
 from .losses import LossWeights
 from .training import (CheckpointError, TrainConfig, TrainError,
@@ -93,18 +92,15 @@ def _build_train_config(args):
     return TrainConfig(weights=weights, **values)
 
 
-def _save_vocabs(path, code_vocab, text_vocab):
-    with open(path + ".vocab.json", "w", encoding="utf-8") as fh:
-        json.dump({"code": code_vocab.token_to_id,
-                   "text": text_vocab.token_to_id}, fh, sort_keys=True)
-
-
 def _load_for_inference(args):
     """The model and manifest of --checkpoint, its code vocabulary, and the
     records of --input."""
     model, manifest = load_checkpoint(args.checkpoint)
-    with open(args.checkpoint + ".vocab.json", "r", encoding="utf-8") as fh:
-        code_vocab = Vocabulary(json.load(fh)["code"], "code")
+    if "code_vocab" not in manifest:
+        raise CheckpointError(
+            f"{args.checkpoint}.npz was saved without a code vocabulary")
+    code_vocab = Vocabulary(
+        {tok: i for i, tok in enumerate(manifest["code_vocab"])}, "code")
     return model, manifest, code_vocab, load_jsonl(args.input)
 
 
@@ -168,8 +164,8 @@ def _cmd_train(args):
     result, log_rows = train(train_records, val_records, config,
                              log_path=args.loss_log)
     if args.checkpoint:
-        save_checkpoint(result.model, args.checkpoint, step=len(log_rows))
-        _save_vocabs(args.checkpoint, result.code_vocab, result.text_vocab)
+        save_checkpoint(result.model, args.checkpoint, step=len(log_rows),
+                        code_vocab=result.code_vocab)
     summary = {
         "config": asdict(config),
         "seed": config.seed,
@@ -204,10 +200,10 @@ def _cmd_eval(args):
 
 def _cmd_ood_eval(args):
     model, manifest, code_vocab, records = _load_for_inference(args)
-    metrics, _ = cross_dataset_eval(
+    # unseen target tokens map to <unk> in the source vocabulary
+    metrics = compute_metrics(predict(
         model, records, code_vocab, threshold=args.threshold,
-        max_input_length=model.code_config.max_input_length,
-        direction=args.direction)
+        max_input_length=model.code_config.max_input_length))
     obj = metrics.to_json_obj(method="vulcontrast", dataset=args.input,
                               direction=args.direction,
                               threshold=args.threshold)

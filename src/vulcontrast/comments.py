@@ -51,6 +51,7 @@ FORBIDDEN_WORDS = ("security", "vulnerable", "vulnerability")
 
 TEMPERATURE = 0.0
 MAX_TOKENS = 128
+AUTH_ENV = "COMMENT_API_TOKEN"  # holds the endpoint's bearer token, if any
 # the client errors that a later attempt may cure: timeout, rate limit
 RETRYABLE_4XX = (408, 429)
 
@@ -70,7 +71,6 @@ class ProviderConfig:
     mode: str = "stub"  # "stub" | "remote"
     endpoint: Optional[str] = None
     model: Optional[str] = None
-    auth_env: str = "COMMENT_API_TOKEN"
     timeout: float = 30.0
     max_retries: int = 3
     backoff_base: float = 1.0
@@ -129,7 +129,7 @@ def _reply_content(resp):
 
 def _post_chat(config, messages):
     headers = {"Content-Type": "application/json"}
-    token = os.environ.get(config.auth_env)
+    token = os.environ.get(AUTH_ENV)
     if token:
         headers["Authorization"] = f"Bearer {token}"
     body = {

@@ -33,15 +33,21 @@ class FunctionRecord:
     project: Optional[str] = None
 
     def __post_init__(self):
-        if not self.code:
-            raise DatasetError(f"record {self.id!r}: code must be non-empty")
+        if not isinstance(self.code, str) or not self.code:
+            raise DatasetError(
+                f"record {self.id!r}: code must be a non-empty string")
         if self.label not in (0, 1):
             raise DatasetError(f"record {self.id!r}: label must be 0 or 1")
-        if self.cwe is not None:
-            for tag in self.cwe:
-                if not _CWE_RE.match(tag):
-                    raise DatasetError(
-                        f"record {self.id!r}: bad CWE identifier {tag!r}")
+        for name in ("comment", "project"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise DatasetError(
+                    f"record {self.id!r}: {name} must be a string or null")
+        if self.cwe is not None and not (
+                isinstance(self.cwe, list)
+                and all(isinstance(t, str) and _CWE_RE.match(t)
+                        for t in self.cwe)):
+            raise DatasetError(f"record {self.id!r}: cwe must be a list of "
+                               f"CWE-<n> identifiers, got {self.cwe!r}")
 
     def to_json_obj(self):
         obj = {"id": self.id, "code": self.code, "label": self.label}

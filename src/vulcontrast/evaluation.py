@@ -1,5 +1,5 @@
-"""Code-only inference, classification metrics, cross-dataset evaluation,
-PCA export, latency benchmarking and false-negative overlap analysis."""
+"""Code-only inference, classification metrics, PCA export, latency
+benchmarking and false-negative overlap analysis."""
 
 from __future__ import annotations
 
@@ -139,17 +139,6 @@ def compute_metrics(prediction_set):
     accuracy = (tp + tn) / len(preds)
     return Metrics(accuracy=accuracy, precision=precision, recall=recall,
                    f1=f1, tp=tp, fp=fp, fn=fn, tn=tn)
-
-
-def cross_dataset_eval(model, target_records, source_code_vocab,
-                       threshold=DEFAULT_THRESHOLD, max_input_length=256,
-                       direction="source->target"):
-    """Evaluate a model on another benchmark's test records using the
-    source-training vocabulary (unseen tokens map to unknown)."""
-    preds = predict(model, target_records, source_code_vocab,
-                    threshold=threshold, max_input_length=max_input_length,
-                    method=f"ood:{direction}")
-    return compute_metrics(preds), preds
 
 
 # --------------------------------------------------------------------- PCA

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -15,7 +17,7 @@ from .data import build_vocab, encode, tokenize
 from .losses import LossWeights, similarity_matrix, total_loss
 from .model import DualEncoderModel, EncoderConfig
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -79,7 +81,8 @@ class TrainConfig:
 
 class AdamOptimizer:
     """Adam with bias correction and decoupled weight decay (applied as a
-    direct shrink before the Adam delta)."""
+    direct shrink before the Adam delta). A step leaves a parameter with no
+    gradient untouched, decay included."""
 
     def __init__(self, params, lr, weight_decay=0.0):
         self.params = dict(params)
@@ -90,16 +93,11 @@ class AdamOptimizer:
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def clip_gradients(self):
-        total = 0.0
-        for p in self.params.values():
-            if p.grad is not None:
-                total += float((p.grad ** 2).sum())
-        norm = np.sqrt(total)
+        grads = [p.grad for p in self.params.values() if p.grad is not None]
+        norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads))
         if norm > GRAD_CLIP_NORM:
-            scale = GRAD_CLIP_NORM / norm
-            for p in self.params.values():
-                if p.grad is not None:
-                    p.grad *= scale
+            for g in grads:
+                g *= GRAD_CLIP_NORM / norm
         return norm
 
     def step(self):
@@ -108,7 +106,9 @@ class AdamOptimizer:
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            g = p.grad
+            if g is None:  # the loss did not reach this parameter
+                continue
             if not np.all(np.isfinite(g)):
                 raise TrainError(f"non-finite gradient for parameter {name}")
             if self.weight_decay:
@@ -122,7 +122,7 @@ class AdamOptimizer:
             m_hat = m / bc1
             v_hat = v / bc2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            p.grad = np.zeros_like(p.data)
+            p.grad = None
 
 
 @dataclass
@@ -140,7 +140,6 @@ class TrainResult:
     best_f1: float
     epoch_logs: list
     code_vocab: object
-    text_vocab: object
 
 
 def _batches(indices, batch_size):
@@ -260,7 +259,7 @@ def train(records, validation, config, log_path=None, progress=None):
     return TrainResult(
         model=model, best_model_params=best_params, best_epoch=best_epoch,
         best_f1=best_f1, epoch_logs=epoch_logs,
-        code_vocab=code_vocab, text_vocab=text_vocab), log_rows
+        code_vocab=code_vocab), log_rows
 
 
 def write_loss_log(log_rows, path):
@@ -275,58 +274,83 @@ def write_loss_log(log_rows, path):
 
 # ------------------------------------------------------------- checkpoints
 
-def save_checkpoint(model, path, step=0):
-    names = sorted(model.params)
+_MANIFEST_KEYS = {"version", "code_config", "text_config", "seed", "step"}
+# every way numpy's npz reader has been seen to fail on a damaged archive
+_DECODE_ERRORS = (zipfile.BadZipFile, zlib.error, LookupError, EOFError,
+                  RuntimeError, ValueError, OSError)
+
+
+def save_checkpoint(model, path, step=0, code_vocab=None):
+    """Write `<path>.npz`: one float64 member per parameter plus a JSON
+    `manifest` member, which holds the code vocabulary's tokens in id order
+    when one is given. The file is replaced atomically."""
     manifest = {
         "version": CHECKPOINT_VERSION,
         "code_config": asdict(model.code_config),
         "text_config": asdict(model.text_config),
-        "step": step,
         "seed": model.seed,
-        "parameters": {},
+        "step": step,
     }
-    offset = 0
-    payload = bytearray()
-    for name in names:
-        data = model.params[name].data
-        raw = np.ascontiguousarray(data, dtype="<f8").tobytes()
-        manifest["parameters"][name] = {
-            "shape": list(data.shape), "offset": offset, "length": len(raw)}
-        payload.extend(raw)
-        offset += len(raw)
-    with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-    with open(path + ".params.bin", "wb") as fh:
-        fh.write(bytes(payload))
+    if code_vocab is not None:
+        manifest["code_vocab"] = sorted(code_vocab.token_to_id,
+                                        key=code_vocab.token_to_id.get)
+    members = {name: p.data.astype("<f8")
+               for name, p in sorted(model.params.items())}
+    members["manifest"] = np.array(json.dumps(manifest, sort_keys=True))
+    tmp = f"{path}.npz.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, allow_pickle=False, **members)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path + ".npz")
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path):
-    with open(path + ".manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """The model and manifest saved at `<path>.npz`. A damaged or
+    inconsistent file raises CheckpointError; a missing one, OSError."""
+    with open(path + ".npz", "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                members = {name: archive[name] for name in archive.files}
+            manifest = json.loads(str(members.pop("manifest")))
+        except _DECODE_ERRORS as exc:
+            raise CheckpointError(
+                f"{path}.npz is not a readable checkpoint: {exc!r}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError("checkpoint manifest is not an object")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {manifest.get('version')} is not supported "
             f"(expected {CHECKPOINT_VERSION})")
-    with open(path + ".params.bin", "rb") as fh:
-        payload = fh.read()
-    model = DualEncoderModel(
-        EncoderConfig(**manifest["code_config"]),
-        EncoderConfig(**manifest["text_config"]),
-        seed=manifest["seed"])
-    expected = set(model.params)
-    declared = set(manifest["parameters"])
-    if expected != declared:
-        missing = sorted((expected - declared) | (declared - expected))
-        raise CheckpointError(f"unknown or missing parameter: {missing[0]}")
-    for name, meta in manifest["parameters"].items():
-        lo, n = meta["offset"], meta["length"]
-        if n != 8 * int(np.prod(meta["shape"])):
-            raise CheckpointError(f"length mismatch for parameter {name}")
-        if lo + n > len(payload):
-            raise CheckpointError(f"truncated payload for parameter {name}")
-        arr = np.frombuffer(payload[lo:lo + n], dtype="<f8").reshape(
-            meta["shape"])
-        if arr.shape != model.params[name].data.shape:
-            raise CheckpointError(f"shape mismatch for parameter {name}")
-        model.params[name].data[...] = arr
+    odd = sorted(_MANIFEST_KEYS ^ (set(manifest) - {"code_vocab"}))
+    if odd:
+        raise CheckpointError(f"missing or unknown manifest key: {odd[0]}")
+    try:
+        model = DualEncoderModel(
+            EncoderConfig(**manifest["code_config"]),
+            EncoderConfig(**manifest["text_config"]),
+            seed=manifest["seed"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad model configuration: {exc}") from exc
+    if set(members) != set(model.params):
+        odd = sorted(set(members) ^ set(model.params))
+        raise CheckpointError(f"unknown or missing parameter: {odd[0]}")
+    for name, arr in members.items():
+        param = model.params[name].data
+        if arr.dtype != np.dtype("<f8") or arr.shape != param.shape:
+            raise CheckpointError(
+                f"shape or dtype mismatch for parameter {name}: "
+                f"{arr.dtype}{list(arr.shape)}")
+        param[...] = arr
+    size = model.code_config.vocab_size
+    if "code_vocab" in manifest and not (
+            isinstance(manifest["code_vocab"], list)
+            and len(manifest["code_vocab"]) == size):
+        raise CheckpointError(
+            f"code vocabulary is not a list of {size} tokens, the size of "
+            "the code encoder's embedding table")
     return model, manifest

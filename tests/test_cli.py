@@ -6,7 +6,7 @@ import pytest
 from vulcontrast.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_OK,
                              _build_train_config, build_parser, run)
 from vulcontrast.data import DatasetError, load_jsonl
-from vulcontrast.training import TrainConfig
+from vulcontrast.training import TrainConfig, load_checkpoint, save_checkpoint
 
 
 TRAIN_CONFIG = """\
@@ -114,8 +114,7 @@ class TestTrain:
         assert obj["final_validation"] is not None
 
     def test_checkpoint_files_written(self, workdir):
-        for suffix in (".manifest.json", ".params.bin", ".vocab.json"):
-            assert (workdir / ("model" + suffix)).exists()
+        assert [p.name for p in workdir.glob("model*")] == ["model.npz"]
 
     def test_loss_log_written(self, workdir):
         lines = (workdir / "loss.csv").read_text().splitlines()
@@ -131,8 +130,8 @@ class TestTrain:
                     "--fine-tuning-only",
                     "--checkpoint", str(tmp_path / "model2"),
                     "--output", str(tmp_path / "t2.json")]) == EXIT_OK
-        assert (tmp_path / "model2.params.bin").read_bytes() == \
-            (workdir / "model.params.bin").read_bytes()
+        assert (tmp_path / "model2.npz").read_bytes() == \
+            (workdir / "model.npz").read_bytes()
 
     def test_unknown_config_key_rejected(self, workdir, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -203,6 +202,23 @@ class TestEval:
     def test_missing_checkpoint_exit_code(self, workdir):
         assert run(["eval", "--checkpoint", str(workdir / "nope"),
                     "--input", str(workdir / "part.test.jsonl")]) == EXIT_IO
+
+    def test_corrupt_checkpoint_exit_code(self, workdir, tmp_path):
+        blob = bytearray((workdir / "model.npz").read_bytes())
+        blob[len(blob) // 2] ^= 0x10
+        (tmp_path / "bad.npz").write_bytes(bytes(blob))
+        assert run(["eval", "--checkpoint", str(tmp_path / "bad"),
+                    "--input", str(workdir / "part.test.jsonl")]) \
+            == EXIT_CONTRACT
+
+    def test_checkpoint_without_vocabulary_exit_code(self, workdir, tmp_path,
+                                                     capsys):
+        model, _ = load_checkpoint(str(workdir / "model"))
+        save_checkpoint(model, str(tmp_path / "bare"))
+        assert run(["eval", "--checkpoint", str(tmp_path / "bare"),
+                    "--input", str(workdir / "part.test.jsonl")]) \
+            == EXIT_CONTRACT
+        assert "without a code vocabulary" in capsys.readouterr().err
 
 
 class TestOodEval:

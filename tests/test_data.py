@@ -33,6 +33,17 @@ class TestLoadJsonl:
         with pytest.raises(DatasetError, match="line 2"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("bad", [
+        '{"code":123,"label":1}',
+        '{"code":"y","label":1,"cwe":7}',
+        '{"code":"y","label":1,"comment":["x"]}',
+    ])
+    def test_wrongly_typed_field_names_line(self, tmp_path, bad):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"code":"x","label":0}\n' + bad + '\n')
+        with pytest.raises(DatasetError, match="line 2"):
+            load_jsonl(path)
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"code":"x","label":0}\nnot json\n')

@@ -5,7 +5,6 @@ from vulcontrast.comments import ProviderConfig, attach_comments
 from vulcontrast.data import FunctionRecord, build_vocab
 from vulcontrast.evaluation import (EvalError, Prediction, PredictionSet,
                                     REGION_NAMES, compute_metrics,
-                                    cross_dataset_eval,
                                     false_negative_analysis, latency_bench,
                                     pca_project, predict)
 from vulcontrast.fixtures import generate_fixture
@@ -146,10 +145,8 @@ class TestPredict:
                                  code="wholly unseen tokens everywhere ( )"),
                   FunctionRecord(id="t1", label=0,
                                  code="more novel vocabulary here ( )")]
-        metrics, preds = cross_dataset_eval(model, target, vocab,
-                                            max_input_length=128,
-                                            direction="a->b")
-        assert preds.method == "ood:a->b"
+        metrics = compute_metrics(predict(model, target, vocab,
+                                          max_input_length=128))
         assert metrics.tp + metrics.fp + metrics.fn + metrics.tn == 2
 
 

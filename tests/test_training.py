@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vulcontrast import autodiff as ad
 from vulcontrast.comments import ProviderConfig, attach_comments
-from vulcontrast.data import build_vocab, encode, tokenize
+from vulcontrast.data import Vocabulary, build_vocab, encode, tokenize
 from vulcontrast.fixtures import generate_fixture
 from vulcontrast.losses import LossBreakdown, bce_loss
 from vulcontrast.model import DualEncoderModel, EncoderConfig
@@ -70,23 +71,29 @@ class TestAdam:
 
     def test_zero_grad_zero_decay_is_fixed_point(self):
         p = ad.parameter(np.array([[2.0, -3.0]]), "p")
+        p.grad = np.zeros((1, 2))
         opt = AdamOptimizer({"p": p}, lr=0.1, weight_decay=0.0)
         opt.step()
         assert np.array_equal(p.data, [[2.0, -3.0]])
 
     def test_decoupled_decay_shrinks_weights(self):
         p = ad.parameter(np.array([[2.0, -4.0]]), "p")
-        opt = AdamOptimizer({"p": p}, lr=0.1, weight_decay=0.01)
+        p.grad = np.zeros((1, 2))
+        # a parameter the loss did not reach keeps its value, decay included
+        unreached = ad.parameter(np.array([[2.0, -4.0]]), "unreached")
+        opt = AdamOptimizer({"p": p, "unreached": unreached}, lr=0.1,
+                            weight_decay=0.01)
         opt.step()
         assert np.allclose(p.data, np.array([[2.0, -4.0]]) * (1 - 0.001),
                            atol=1e-15)
+        assert np.array_equal(unreached.data, [[2.0, -4.0]])
 
     def test_step_zeroes_gradients(self):
         p = ad.parameter(np.ones((2, 2)), "p")
         p.grad = np.ones((2, 2))
         opt = AdamOptimizer({"p": p}, lr=0.1)
         opt.step()
-        assert np.all(p.grad == 0)
+        assert p.grad is None
 
     def test_non_finite_gradient_rejected(self):
         p = ad.parameter(np.ones((1, 1)), "p")
@@ -188,6 +195,16 @@ class TestTrainLoop:
         result, _ = train(records, [], small_config(fine_tuning_only=True))
         assert result.model.text_invocations == 0
 
+    def test_fine_tuning_only_leaves_text_side_at_init(self):
+        cfg = small_config(fine_tuning_only=True)
+        result, _ = train(small_records(), [], cfg)
+        fresh = DualEncoderModel(result.model.code_config,
+                                 result.model.text_config, seed=cfg.seed)
+        text_side = [n for n in fresh.params if n.startswith("text.")]
+        for name in text_side + ["proj.text", "logit_scale"]:
+            assert np.array_equal(result.model.params[name].data,
+                                  fresh.params[name].data), name
+
     def test_full_objective_invokes_text_encoder(self):
         records = small_records(n=8)
         result, _ = train(records, [], small_config(epochs=1))
@@ -246,15 +263,16 @@ class TestFineTuningEquivalence:
                 bc1 = 1 - ADAM_BETA1 ** t
                 bc2 = 1 - ADAM_BETA2 ** t
                 for name, p in model.params.items():
-                    g = (p.grad if p.grad is not None
-                         else np.zeros_like(p.data)) * scale
+                    if p.grad is None:
+                        continue
+                    g = p.grad * scale
                     p.data -= cfg.learning_rate * cfg.weight_decay * p.data
                     m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g
                     v[name] = (ADAM_BETA2 * v[name]
                                + (1 - ADAM_BETA2) * g * g)
                     p.data -= (cfg.learning_rate * (m[name] / bc1)
                                / (np.sqrt(v[name] / bc2) + ADAM_EPS))
-                    p.grad = np.zeros_like(p.data)
+                    p.grad = None
         return model
 
     def test_step_for_step_equality(self):
@@ -274,18 +292,32 @@ class TestCheckpoint:
                             proj_dim=4)
         return DualEncoderModel(cfg, cfg, seed=seed)
 
+    def make_vocab(self, size=16):
+        return Vocabulary({f"t{i}": i for i in range(size)}, "code")
+
+    def doctor(self, path, edit):
+        """Rewrite `<path>.npz` after `edit(members, manifest)`."""
+        with np.load(path + ".npz") as archive:
+            members = {name: archive[name] for name in archive.files}
+        manifest = json.loads(str(members.pop("manifest")))
+        edit(members, manifest)
+        np.savez(path + ".npz", manifest=np.array(json.dumps(manifest)),
+                 **members)
+
     def test_round_trip_exact(self, tmp_path):
         model = self.make_model(seed=9)
         # make values non-trivial
         for p in model.params.values():
             p.data += 0.01
         path = str(tmp_path / "ckpt")
-        save_checkpoint(model, path, step=42)
+        save_checkpoint(model, path, step=42, code_vocab=self.make_vocab())
         loaded, manifest = load_checkpoint(path)
         assert manifest["step"] == 42
+        assert manifest["code_vocab"] == [f"t{i}" for i in range(16)]
         for name in model.params:
             assert np.array_equal(loaded.params[name].data,
                                   model.params[name].data)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
 
     def test_fresh_counter_after_load(self, tmp_path):
         model = self.make_model()
@@ -298,65 +330,127 @@ class TestCheckpoint:
         assert loaded.text_invocations == 0
 
     def test_unsupported_version_rejected(self, tmp_path):
-        model = self.make_model()
         path = str(tmp_path / "ckpt")
-        save_checkpoint(model, path)
-        manifest_path = path + ".manifest.json"
-        manifest = json.loads(open(manifest_path).read())
-        manifest["version"] = 99
-        open(manifest_path, "w").write(json.dumps(manifest))
+        save_checkpoint(self.make_model(), path)
+        self.doctor(path, lambda members, manifest:
+                    manifest.update(version=99))
         with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(path)
 
-    def test_missing_parameter_rejected(self, tmp_path):
-        model = self.make_model()
+    @pytest.mark.parametrize("edit", [
+        lambda manifest: manifest.pop("seed"),
+        lambda manifest: manifest.update(seed_offset=1),
+    ])
+    def test_missing_or_unknown_manifest_key_rejected(self, tmp_path, edit):
         path = str(tmp_path / "ckpt")
-        save_checkpoint(model, path)
-        manifest_path = path + ".manifest.json"
-        manifest = json.loads(open(manifest_path).read())
-        del manifest["parameters"]["logit_scale"]
-        open(manifest_path, "w").write(json.dumps(manifest))
+        save_checkpoint(self.make_model(), path)
+        self.doctor(path, lambda members, manifest: edit(manifest))
+        with pytest.raises(CheckpointError, match="manifest key: seed"):
+            load_checkpoint(path)
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(self.make_model(), path)
+        self.doctor(path, lambda members, manifest:
+                    members.pop("logit_scale"))
         with pytest.raises(CheckpointError, match="logit_scale"):
+            load_checkpoint(path)
+        self.doctor(path, lambda members, manifest: members.update(
+            logit_scale=np.zeros((1, 1)), extra=np.zeros((1, 1))))
+        with pytest.raises(CheckpointError, match="parameter: extra"):
             load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        model = self.make_model()
         path = str(tmp_path / "ckpt")
-        save_checkpoint(model, path)
-        bin_path = path + ".params.bin"
-        payload = open(bin_path, "rb").read()
-        open(bin_path, "wb").write(payload[:-8])
-        with pytest.raises(CheckpointError, match="truncated"):
+        save_checkpoint(self.make_model(), path)
+        with open(path + ".npz", "rb") as fh:
+            payload = fh.read()
+        with open(path + ".npz", "wb") as fh:
+            fh.write(payload[:-8])
+        with pytest.raises(CheckpointError, match="not a readable"):
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        model = self.make_model()
         path = str(tmp_path / "ckpt")
-        save_checkpoint(model, path)
-        manifest_path = path + ".manifest.json"
-        manifest = json.loads(open(manifest_path).read())
-        meta = manifest["parameters"]["proj.code"]
-        meta["shape"] = meta["shape"][::-1]
-        open(manifest_path, "w").write(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="shape mismatch"):
+        save_checkpoint(self.make_model(), path)
+        self.doctor(path, lambda members, manifest: members.update(
+            {"proj.code": members["proj.code"].T}))
+        with pytest.raises(CheckpointError,
+                           match="mismatch for parameter proj.code"):
             load_checkpoint(path)
 
-    def test_length_not_matching_shape_rejected(self, tmp_path):
-        model = self.make_model()
-        path = str(tmp_path / "ckpt")
-        save_checkpoint(model, path)
-        manifest_path = path + ".manifest.json"
-        for delta in (4, -8):
-            manifest = json.loads(open(manifest_path).read())
-            manifest["parameters"]["proj.code"]["length"] += delta
-            doctored = str(tmp_path / f"doctored{delta}")
-            open(doctored + ".manifest.json", "w").write(
-                json.dumps(manifest))
-            open(doctored + ".params.bin", "wb").write(
-                open(path + ".params.bin", "rb").read())
+    def test_wrong_dtype_rejected(self, tmp_path):
+        for dtype in ("<f4", ">f8", "<i8"):
+            path = str(tmp_path / f"ckpt{dtype}")
+            save_checkpoint(self.make_model(), path)
+            self.doctor(path, lambda members, manifest: members.update(
+                {"proj.code": members["proj.code"].astype(dtype)}))
             with pytest.raises(CheckpointError,
-                               match="length mismatch for parameter proj"):
-                load_checkpoint(doctored)
+                               match="mismatch for parameter proj.code"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("tokens", [
+        [f"t{i}" for i in range(15)],
+        [f"t{i}" for i in range(17)],
+        {f"t{i}": i for i in range(16)},
+    ])
+    def test_vocabulary_not_matching_encoder_rejected(self, tmp_path,
+                                                      tokens):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(self.make_model(), path)
+        self.doctor(path, lambda members, manifest:
+                    manifest.update(code_vocab=tokens))
+        with pytest.raises(CheckpointError, match="list of 16 tokens"):
+            load_checkpoint(path)
+
+    def test_damaged_file_raises_or_loads_what_was_saved(self, tmp_path):
+        model = self.make_model(seed=4)
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(model, path, step=3, code_vocab=self.make_vocab())
+        with open(path + ".npz", "rb") as fh:
+            blob = fh.read()
+        _, saved_manifest = load_checkpoint(path)
+        damaged = str(tmp_path / "damaged")
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.one_of(
+            st.tuples(st.just("flip"), st.integers(0, 8 * len(blob) - 1)),
+            st.tuples(st.just("cut"), st.integers(0, len(blob) - 1))))
+        def check(damage):
+            kind, at = damage
+            if kind == "flip":
+                data = bytearray(blob)
+                data[at // 8] ^= 1 << (at % 8)
+            else:
+                data = blob[:at]
+            with open(damaged + ".npz", "wb") as fh:
+                fh.write(bytes(data))
+            try:
+                loaded, manifest = load_checkpoint(damaged)
+            except CheckpointError:
+                return
+            assert manifest == saved_manifest
+            for name, p in model.params.items():
+                assert np.array_equal(loaded.params[name].data, p.data)
+
+        check()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(self.make_model(seed=1), path)
+        with open(path + ".npz", "rb") as fh:
+            before = fh.read()
+
+        def broken_savez(fh, **members):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(self.make_model(seed=2), path)
+        with open(path + ".npz", "rb") as fh:
+            assert fh.read() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
 
 
 class TestWriteLossLog:
