@@ -302,16 +302,13 @@ def embedding_lookup(table, ids):
         raise ShapeError(
             f"embedding-lookup: id out of range for table with "
             f"{table.data.shape[0]} rows")
-    y = table.data[ids]
 
     def backward(g):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, ids, g)
 
-    out = Tensor(_check_finite(y, "embedding-lookup"), prev=(table,))
-    out._backward = backward
-    return out
+    return _node(table.data[ids], "embedding-lookup", (table,), backward)
 
 
 def mean_pool_rows(a):

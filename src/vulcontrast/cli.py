@@ -185,6 +185,7 @@ def _cmd_eval(args):
                     method=args.method)
     metrics = compute_metrics(preds)
     obj = metrics.to_json_obj(method=args.method, dataset=args.input,
+                              direction=args.direction,
                               threshold=args.threshold)
     obj["seed"] = manifest["seed"]
     obj["config"] = manifest["code_config"]
@@ -194,20 +195,6 @@ def _cmd_eval(args):
                 "method": args.method, "threshold": args.threshold,
                 "predictions": [vars(p).copy() for p in preds.predictions],
             }, fh, indent=1, sort_keys=True)
-    _emit(obj, args.output)
-    return EXIT_OK
-
-
-def _cmd_ood_eval(args):
-    model, manifest, code_vocab, records = _load_for_inference(args)
-    # unseen target tokens map to <unk> in the source vocabulary
-    metrics = compute_metrics(predict(
-        model, records, code_vocab, threshold=args.threshold,
-        max_input_length=model.code_config.max_input_length))
-    obj = metrics.to_json_obj(method="vulcontrast", dataset=args.input,
-                              direction=args.direction,
-                              threshold=args.threshold)
-    obj["seed"] = manifest["seed"]
     _emit(obj, args.output)
     return EXIT_OK
 
@@ -326,7 +313,7 @@ def build_parser():
     p.add_argument("--method", default="vulcontrast")
     p.add_argument("--predictions")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, direction="")
 
     p = sub.add_parser("ood-eval", help="cross-dataset evaluation")
     p.add_argument("--checkpoint", required=True)
@@ -334,7 +321,8 @@ def build_parser():
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--direction", default="source->target")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_ood_eval)
+    # unseen target tokens map to <unk> in the source vocabulary
+    p.set_defaults(func=_cmd_eval, method="vulcontrast", predictions=None)
 
     p = sub.add_parser("pca-export", help="2-D PCA of code embeddings")
     p.add_argument("--checkpoint", required=True)

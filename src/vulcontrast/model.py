@@ -48,9 +48,15 @@ class EncoderConfig:
                 f"{self.num_heads} heads")
 
 
+CODE_SIDE = ("code.", "proj.code", "cls.")
+
+
 class DualEncoderModel:
     """All learnable state: two encoders, two projection heads, the logit
-    scale and the classifier head."""
+    scale and the classifier head. With `text_config` None the model is the
+    code side only, the parameters named by `CODE_SIDE`, which is all that
+    inference reads. `proj.code` and `cls.*` are drawn after the text
+    encoder from one RNG stream, so their initial values depend on it."""
 
     def __init__(self, code_config, text_config, seed=0):
         self.code_config = code_config
@@ -60,14 +66,17 @@ class DualEncoderModel:
         self.params = {}
         rng = np.random.default_rng(seed)
         self._init_encoder("code", code_config, rng)
-        self._init_encoder("text", text_config, rng)
         d, p = code_config.embed_dim, code_config.proj_dim
-        if text_config.proj_dim != p:
-            raise ModelError("code and text projection dimensions must match")
+        if text_config is not None:
+            if text_config.proj_dim != p:
+                raise ModelError(
+                    "code and text projection dimensions must match")
+            self._init_encoder("text", text_config, rng)
         self._add("proj.code", rng.normal(0, INIT_STD, (d, p)))
-        self._add("proj.text",
-                  rng.normal(0, INIT_STD, (text_config.embed_dim, p)))
-        self._add("logit_scale", np.array([[math.log(LOGIT_SCALE_INIT)]]))
+        if text_config is not None:
+            self._add("proj.text",
+                      rng.normal(0, INIT_STD, (text_config.embed_dim, p)))
+            self._add("logit_scale", np.array([[math.log(LOGIT_SCALE_INIT)]]))
         self._add("cls.w1", rng.normal(0, INIT_STD, (p, p)))
         self._add("cls.b1", np.zeros((1, p)))
         self._add("cls.w2", rng.normal(0, INIT_STD, (p, 1)))
@@ -151,6 +160,8 @@ class DualEncoderModel:
         """Hidden matrix, one row per input sequence."""
         if modality not in ("code", "text"):
             raise ModelError(f"unknown modality {modality!r}")
+        if modality == "text" and self.text_config is None:
+            raise ModelError("code-only model has no text encoder")
         cfg = self.code_config if modality == "code" else self.text_config
         tag = modality
         rows = [self._encode_one(tag, cfg, seq.tokens) for seq in sequences]

@@ -13,11 +13,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import augment_tokens, _substream
-from .data import build_vocab, encode, tokenize
+from .data import PAD_TOKEN, UNK_TOKEN, build_vocab, encode, tokenize
 from .losses import LossWeights, similarity_matrix, total_loss
-from .model import DualEncoderModel, EncoderConfig
+from .model import CODE_SIDE, DualEncoderModel, EncoderConfig
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -274,20 +274,19 @@ def write_loss_log(log_rows, path):
 
 # ------------------------------------------------------------- checkpoints
 
-_MANIFEST_KEYS = {"version", "code_config", "text_config", "seed", "step"}
+_MANIFEST_KEYS = {"version", "code_config", "seed", "step"}
 # every way numpy's npz reader has been seen to fail on a damaged archive
 _DECODE_ERRORS = (zipfile.BadZipFile, zlib.error, LookupError, EOFError,
                   RuntimeError, ValueError, OSError)
 
 
 def save_checkpoint(model, path, step=0, code_vocab=None):
-    """Write `<path>.npz`: one float64 member per parameter plus a JSON
-    `manifest` member, which holds the code vocabulary's tokens in id order
-    when one is given. The file is replaced atomically."""
+    """Write `<path>.npz`: one float64 member per code-side parameter plus
+    a JSON `manifest` member, which holds the code vocabulary's tokens in
+    id order when one is given. The file is replaced atomically."""
     manifest = {
         "version": CHECKPOINT_VERSION,
         "code_config": asdict(model.code_config),
-        "text_config": asdict(model.text_config),
         "seed": model.seed,
         "step": step,
     }
@@ -295,7 +294,8 @@ def save_checkpoint(model, path, step=0, code_vocab=None):
         manifest["code_vocab"] = sorted(code_vocab.token_to_id,
                                         key=code_vocab.token_to_id.get)
     members = {name: p.data.astype("<f8")
-               for name, p in sorted(model.params.items())}
+               for name, p in sorted(model.params.items())
+               if name.startswith(CODE_SIDE)}
     members["manifest"] = np.array(json.dumps(manifest, sort_keys=True))
     tmp = f"{path}.npz.{os.getpid()}.tmp"
     try:
@@ -310,8 +310,8 @@ def save_checkpoint(model, path, step=0, code_vocab=None):
 
 
 def load_checkpoint(path):
-    """The model and manifest saved at `<path>.npz`. A damaged or
-    inconsistent file raises CheckpointError; a missing one, OSError."""
+    """The code-only model and the manifest saved at `<path>.npz`. A damaged
+    or inconsistent file raises CheckpointError; a missing one, OSError."""
     with open(path + ".npz", "rb") as fh:
         try:
             with np.load(fh, allow_pickle=False) as archive:
@@ -330,10 +330,8 @@ def load_checkpoint(path):
     if odd:
         raise CheckpointError(f"missing or unknown manifest key: {odd[0]}")
     try:
-        model = DualEncoderModel(
-            EncoderConfig(**manifest["code_config"]),
-            EncoderConfig(**manifest["text_config"]),
-            seed=manifest["seed"])
+        model = DualEncoderModel(EncoderConfig(**manifest["code_config"]),
+                                 None, seed=manifest["seed"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad model configuration: {exc}") from exc
     if set(members) != set(model.params):
@@ -347,10 +345,14 @@ def load_checkpoint(path):
                 f"{arr.dtype}{list(arr.shape)}")
         param[...] = arr
     size = model.code_config.vocab_size
+    tokens = manifest.get("code_vocab")
     if "code_vocab" in manifest and not (
-            isinstance(manifest["code_vocab"], list)
-            and len(manifest["code_vocab"]) == size):
+            isinstance(tokens, list) and len(tokens) == size
+            and all(isinstance(t, str) for t in tokens)
+            and len(set(tokens)) == size
+            and tokens[:2] == [UNK_TOKEN, PAD_TOKEN]):
         raise CheckpointError(
-            f"code vocabulary is not a list of {size} tokens, the size of "
-            "the code encoder's embedding table")
+            f"code vocabulary is not a list of {size} tokens (the code "
+            f"encoder's vocabulary size), distinct strings with {UNK_TOKEN} "
+            f"at id 0 and {PAD_TOKEN} at id 1")
     return model, manifest

@@ -94,6 +94,18 @@ class TestTokenize:
         with pytest.raises(ValueError):
             tokenize("x", "audio")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(), st.sampled_from(["code", "text"]))
+    def test_deterministic_and_keeps_every_non_space_character(self, text,
+                                                               modality):
+        tokens = tokenize(text, modality)
+        assert tokenize(text, modality) == tokens
+        if text.split():
+            assert "".join(tokens) == "".join(text.split())
+            assert all(tokens)
+        else:
+            assert tokens == ["<unk>"]
+
 
 class TestVocab:
     def test_frequency_order(self):

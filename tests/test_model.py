@@ -5,8 +5,8 @@ import pytest
 
 from vulcontrast import autodiff as ad
 from vulcontrast.data import TokenSequence, PAD_ID
-from vulcontrast.model import (DualEncoderModel, EncoderConfig, ModelError,
-                               LOGIT_SCALE_INIT)
+from vulcontrast.model import (CODE_SIDE, DualEncoderModel, EncoderConfig,
+                               ModelError, LOGIT_SCALE_INIT)
 
 
 def tiny_config(**kw):
@@ -35,6 +35,19 @@ class TestInit:
         assert abs(model.logit_scale().item() - LOGIT_SCALE_INIT) < 1e-12
         assert abs(model.params["logit_scale"].data[0, 0]
                    - math.log(14.0)) < 1e-12
+
+    def test_code_only_model_holds_the_code_side(self):
+        full = make_model(3)
+        code_only = DualEncoderModel(tiny_config(), None, seed=3)
+        assert list(code_only.params) == \
+            [n for n in full.params if n.startswith(CODE_SIDE)]
+        for name, p in code_only.params.items():
+            if name.startswith("code."):  # drawn before the text encoder
+                assert np.array_equal(p.data, full.params[name].data)
+        code_only.encode_batch([seq([2])], "code")
+        with pytest.raises(ModelError, match="no text encoder"):
+            code_only.encode_batch([seq([2], "text")], "text")
+        assert code_only.text_invocations == 0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ModelError):

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from vulcontrast import autodiff as ad
 from vulcontrast.comments import ProviderConfig, attach_comments
-from vulcontrast.data import Vocabulary, build_vocab, encode, tokenize
+from vulcontrast.data import (TokenSequence, Vocabulary, build_vocab, encode,
+                              tokenize)
 from vulcontrast.fixtures import generate_fixture
 from vulcontrast.losses import LossBreakdown, bce_loss
-from vulcontrast.model import DualEncoderModel, EncoderConfig
+from vulcontrast.model import (CODE_SIDE, DualEncoderModel, EncoderConfig,
+                               ModelError)
 from vulcontrast.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                                   AdamOptimizer, CheckpointError, TrainConfig,
                                   TrainError, load_checkpoint,
@@ -293,7 +295,8 @@ class TestCheckpoint:
         return DualEncoderModel(cfg, cfg, seed=seed)
 
     def make_vocab(self, size=16):
-        return Vocabulary({f"t{i}": i for i in range(size)}, "code")
+        tokens = ["<unk>", "<pad>"] + [f"t{i}" for i in range(2, size)]
+        return Vocabulary({tok: i for i, tok in enumerate(tokens)}, "code")
 
     def doctor(self, path, edit):
         """Rewrite `<path>.npz` after `edit(members, manifest)`."""
@@ -313,15 +316,38 @@ class TestCheckpoint:
         save_checkpoint(model, path, step=42, code_vocab=self.make_vocab())
         loaded, manifest = load_checkpoint(path)
         assert manifest["step"] == 42
-        assert manifest["code_vocab"] == [f"t{i}" for i in range(16)]
-        for name in model.params:
+        assert manifest["code_vocab"] == \
+            ["<unk>", "<pad>"] + [f"t{i}" for i in range(2, 16)]
+        code_side = {n for n in model.params if n.startswith(CODE_SIDE)}
+        assert set(loaded.params) == code_side
+        for name in code_side:
             assert np.array_equal(loaded.params[name].data,
                                   model.params[name].data)
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
 
+    def test_holds_the_code_side_only(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(self.make_model(), path, step=1,
+                        code_vocab=self.make_vocab())
+        with np.load(path + ".npz") as archive:
+            names = set(archive.files) - {"manifest"}
+            manifest = json.loads(str(archive["manifest"]))
+        assert names == {n for n in self.make_model().params
+                         if n.startswith(("code.", "proj.code", "cls."))}
+        assert set(manifest) == {"version", "code_config", "seed", "step",
+                                 "code_vocab"}
+        assert manifest["version"] == 3
+        loaded, _ = load_checkpoint(path)
+        assert loaded.text_config is None
+        assert not any(n.startswith(("text.", "proj.text", "logit_scale"))
+                       for n in loaded.params)
+        with pytest.raises(ModelError, match="no text encoder"):
+            loaded.encode_batch([TokenSequence(tokens=[2], modality="text")],
+                                "text")
+        assert loaded.text_invocations == 0
+
     def test_fresh_counter_after_load(self, tmp_path):
         model = self.make_model()
-        from vulcontrast.data import TokenSequence
         model.encode_batch([TokenSequence(tokens=[2], modality="text")],
                            "text")
         path = str(tmp_path / "ckpt")
@@ -331,11 +357,12 @@ class TestCheckpoint:
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        save_checkpoint(self.make_model(), path)
-        self.doctor(path, lambda members, manifest:
-                    manifest.update(version=99))
-        with pytest.raises(CheckpointError, match="version 99"):
-            load_checkpoint(path)
+        for version in (2, 99):
+            save_checkpoint(self.make_model(), path)
+            self.doctor(path, lambda members, manifest:
+                        manifest.update(version=version))
+            with pytest.raises(CheckpointError, match=f"version {version} "):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [
         lambda manifest: manifest.pop("seed"),
@@ -352,13 +379,15 @@ class TestCheckpoint:
         path = str(tmp_path / "ckpt")
         save_checkpoint(self.make_model(), path)
         self.doctor(path, lambda members, manifest:
-                    members.pop("logit_scale"))
-        with pytest.raises(CheckpointError, match="logit_scale"):
+                    members.pop("cls.b2"))
+        with pytest.raises(CheckpointError, match="parameter: cls.b2"):
             load_checkpoint(path)
-        self.doctor(path, lambda members, manifest: members.update(
-            logit_scale=np.zeros((1, 1)), extra=np.zeros((1, 1))))
-        with pytest.raises(CheckpointError, match="parameter: extra"):
-            load_checkpoint(path)
+        for extra in ("extra", "logit_scale"):
+            self.doctor(path, lambda members, manifest: members.update(
+                {"cls.b2": np.zeros((1, 1)), extra: np.zeros((1, 1))}))
+            with pytest.raises(CheckpointError, match=f"parameter: {extra}"):
+                load_checkpoint(path)
+            self.doctor(path, lambda members, manifest: members.pop(extra))
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt")
@@ -393,6 +422,9 @@ class TestCheckpoint:
         [f"t{i}" for i in range(15)],
         [f"t{i}" for i in range(17)],
         {f"t{i}": i for i in range(16)},
+        list(range(16)),
+        ["a"] * 16,
+        ["a", "b", "<unk>", "<pad>"] + [f"t{i}" for i in range(4, 16)],
     ])
     def test_vocabulary_not_matching_encoder_rejected(self, tmp_path,
                                                       tokens):
@@ -430,8 +462,9 @@ class TestCheckpoint:
             except CheckpointError:
                 return
             assert manifest == saved_manifest
-            for name, p in model.params.items():
-                assert np.array_equal(loaded.params[name].data, p.data)
+            for name in loaded.params:
+                assert np.array_equal(loaded.params[name].data,
+                                      model.params[name].data)
 
         check()
 
