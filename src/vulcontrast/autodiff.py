@@ -4,9 +4,15 @@ Everything is a 2-D array; scalars are shape (1, 1). The primitive set is
 exactly what the training objectives need: matmul, elementwise arithmetic,
 exp/log, softmax/log-sum-exp per row, l2 normalization, pooling, embedding
 lookup, sigmoid/gelu, row concatenation and a clamp.
+
+Inside `no_grad()` the primitives compute values but record no graph, and
+`backward` releases each node's graph as it walks it, so a graph can be
+differentiated once.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from scipy.special import erf
@@ -20,6 +26,10 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
+    pass
+
+
+class GradError(RuntimeError):
     pass
 
 
@@ -39,11 +49,11 @@ class Tensor:
 
     __slots__ = ("data", "grad", "name", "_prev", "_backward")
 
-    def __init__(self, data, prev=(), name=None):
+    def __init__(self, data, name=None):
         self.data = _as_matrix(data)
         self.grad = None
         self.name = name
-        self._prev = prev
+        self._prev = ()
         self._backward = None
 
     def item(self):
@@ -68,9 +78,32 @@ def _check_finite(arr, op):
     return arr
 
 
+def _no_graph(g):
+    raise GradError("no graph to differentiate: built under no_grad() or "
+                    "already released by backward()")
+
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block; nestable. The flag is one module
+    global, so autodiff runs on one thread."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data, op, prev, backward):
-    out = Tensor(_check_finite(_as_matrix(data), op), prev=prev)
-    out._backward = backward
+    out = Tensor(_check_finite(_as_matrix(data), op))
+    if _grad_enabled:
+        out._prev, out._backward = prev, backward
+    else:
+        out._backward = _no_graph
     return out
 
 
@@ -347,7 +380,8 @@ def constant(data):
 # ----------------------------------------------------------------- backward
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) into every reachable tensor's .grad."""
+    """Accumulate d(loss)/d(leaf) into every reachable tensor's .grad, then
+    release the graph: a second call through it raises `GradError`."""
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got {loss.data.shape}")
     topo = []
@@ -369,6 +403,7 @@ def backward(loss):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node._prev, node._backward = (), _no_graph
 
 
 # --------------------------------------------------------------- grad check

@@ -93,13 +93,15 @@ class FnAnalysis:
 
 def embed_code(model, records, vocab, max_input_length, batch_size=32):
     """Projected code embeddings, one row per record, encoded in chunks of
-    `batch_size`; the text encoder is never touched."""
+    `batch_size` without building a graph; the text encoder is never
+    touched."""
     rows = []
-    for i in range(0, len(records), batch_size):
-        seqs = [encode(tokenize(r.code, "code"), vocab, max_input_length)
-                for r in records[i:i + batch_size]]
-        hidden = model.encode_batch(seqs, "code")
-        rows.append(model.project(hidden, "code").data)
+    with ad.no_grad():
+        for i in range(0, len(records), batch_size):
+            seqs = [encode(tokenize(r.code, "code"), vocab, max_input_length)
+                    for r in records[i:i + batch_size]]
+            hidden = model.encode_batch(seqs, "code")
+            rows.append(model.project(hidden, "code").data)
     return np.vstack(rows)
 
 
@@ -113,13 +115,14 @@ def predict(model, records, code_vocab, threshold=DEFAULT_THRESHOLD,
     projected = embed_code(model, records, code_vocab, max_input_length,
                            batch_size)
     preds = []
-    for i in range(0, len(records), batch_size):
-        _, probs = model.classify(ad.constant(projected[i:i + batch_size]))
-        for rec, p in zip(records[i:i + batch_size], probs.data[:, 0]):
-            p = float(p)
-            preds.append(Prediction(
-                id=rec.id, probability=p, predicted=int(p > threshold),
-                gold=rec.label, cwe=list(rec.cwe or [])))
+    with ad.no_grad():
+        for i in range(0, len(records), batch_size):
+            _, probs = model.classify(ad.constant(projected[i:i + batch_size]))
+            for rec, p in zip(records[i:i + batch_size], probs.data[:, 0]):
+                p = float(p)
+                preds.append(Prediction(
+                    id=rec.id, probability=p, predicted=int(p > threshold),
+                    gold=rec.label, cwe=list(rec.cwe or [])))
     return PredictionSet(method=method, threshold=threshold,
                          predictions=preds)
 

@@ -110,6 +110,8 @@ class DualEncoderModel:
 
     def logit_scale(self):
         """gamma = exp(s), clamped to [LOGIT_SCALE_MIN, LOGIT_SCALE_MAX]."""
+        if self.text_config is None:
+            raise ModelError("code-only model has no logit scale")
         return ad.clamp(ad.exp(self.params["logit_scale"]),
                         LOGIT_SCALE_MIN, LOGIT_SCALE_MAX)
 
@@ -156,12 +158,15 @@ class DualEncoderModel:
                                  P[f"{tag}.block{b}.ff_b2"]))
         return ad.mean_pool_rows(x)
 
-    def encode_batch(self, sequences, modality):
-        """Hidden matrix, one row per input sequence."""
+    def _check_modality(self, modality):
         if modality not in ("code", "text"):
             raise ModelError(f"unknown modality {modality!r}")
         if modality == "text" and self.text_config is None:
             raise ModelError("code-only model has no text encoder")
+
+    def encode_batch(self, sequences, modality):
+        """Hidden matrix, one row per input sequence."""
+        self._check_modality(modality)
         cfg = self.code_config if modality == "code" else self.text_config
         tag = modality
         rows = [self._encode_one(tag, cfg, seq.tokens) for seq in sequences]
@@ -172,6 +177,7 @@ class DualEncoderModel:
         return ad.concat_rows(rows)
 
     def project(self, hidden, modality):
+        self._check_modality(modality)
         head = self.params[f"proj.{modality}"]
         if hidden.data.shape[1] != head.data.shape[0]:
             raise ModelError(

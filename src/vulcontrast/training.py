@@ -230,7 +230,8 @@ def train(records, validation, config, log_path=None, progress=None):
             ad.backward(loss)
             optimizer.clip_gradients()
             optimizer.step()
-            log_rows.append((step, breakdown, model.logit_scale().item()))
+            with ad.no_grad():
+                log_rows.append((step, breakdown, model.logit_scale().item()))
 
         val_metrics = None
         if validation:

@@ -3,6 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vulcontrast import autodiff as ad
+from vulcontrast.data import build_vocab, encode, tokenize
+from vulcontrast.evaluation import predict
+from vulcontrast.fixtures import generate_fixture
+from vulcontrast.model import DualEncoderModel, EncoderConfig
 
 
 def p(data, name="p"):
@@ -78,6 +82,73 @@ class TestBackward:
         ad.backward(ad.sum_all(x))
         ad.backward(ad.sum_all(x))
         assert np.allclose(x.grad, [[2.0, 2.0]])
+
+
+class TestNoGrad:
+    def test_backward_without_graph_raises(self):
+        x = p([[1.0, 2.0]])
+        with ad.no_grad():
+            loss = ad.sum_all(ad.mul(x, x))
+        assert loss._prev == ()
+        with pytest.raises(ad.GradError, match="no graph"):
+            ad.backward(loss)
+        assert x.grad is None
+
+    def test_second_backward_through_released_graph_raises(self):
+        x = p([[1.0, 2.0]])
+        loss = ad.sum_all(ad.mul(x, x))
+        ad.backward(loss)
+        assert np.array_equal(x.grad, [[2.0, 4.0]])
+        with pytest.raises(ad.GradError, match="no graph"):
+            ad.backward(loss)
+        assert np.array_equal(x.grad, [[2.0, 4.0]])
+
+    def test_flag_restored_after_nested_blocks(self):
+        assert ad._grad_enabled
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad._grad_enabled
+            assert not ad._grad_enabled
+        assert ad._grad_enabled
+        x = p([[1.0]])
+        assert ad.exp(x)._prev == (x,)
+
+    def test_flag_restored_after_exception(self):
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError("inside")
+        assert ad._grad_enabled
+        with pytest.raises(ad.NonFiniteError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    ad.exp(p([[1000.0]]))
+        assert ad._grad_enabled
+
+    def test_non_finite_still_rejected(self):
+        with ad.no_grad():
+            with pytest.raises(ad.NonFiniteError, match="exp"):
+                ad.exp(p([[1000.0]]))
+
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    def test_predict_bit_equal_to_graph_building_forward(self, batch_size):
+        records = generate_fixture(n=32, seed=5)
+        vocab = build_vocab(records, "code", 128)
+        cfg = EncoderConfig(vocab_size=vocab.size, embed_dim=8, num_blocks=1,
+                            num_heads=2, ff_dim=16, max_input_length=128,
+                            proj_dim=4)
+        model = DualEncoderModel(cfg, None, seed=2)
+        got = [x.probability for x in predict(
+            model, records, vocab, max_input_length=128,
+            batch_size=batch_size).predictions]
+        want = []
+        for i in range(0, len(records), batch_size):
+            seqs = [encode(tokenize(r.code, "code"), vocab, 128)
+                    for r in records[i:i + batch_size]]
+            _, probs = model.classify(
+                model.project(model.encode_batch(seqs, "code"), "code"))
+            assert probs._prev  # the reference did build a graph
+            want.extend(float(v) for v in probs.data[:, 0])
+        assert got == want
 
 
 PRIMITIVE_CASES = {

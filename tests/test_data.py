@@ -151,6 +151,19 @@ class TestEncode:
         seq = encode(["a", "b", "c", "d", "e", "zz"], vocab, 10)
         assert all(t < vocab.size for t in seq.tokens)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(min_size=1), min_size=1, max_size=5),
+           st.integers(3, 12), st.integers(1, 50), st.data())
+    def test_length_and_id_range(self, codes, max_size, max_len, data):
+        records = [rec(i, 0, code=c) for i, c in enumerate(codes)]
+        vocab = build_vocab(records, "code", max_size)
+        known = st.sampled_from(sorted(vocab.token_to_id))
+        tokens = data.draw(st.lists(st.one_of(known, st.text(max_size=6)),
+                                    max_size=60))
+        ids = encode(tokens, vocab, max_len).tokens
+        assert 1 <= len(ids) <= max_len
+        assert all(0 <= t < vocab.size for t in ids)
+
 
 class TestStats:
     def test_hand_line_count(self):

@@ -49,6 +49,17 @@ class TestInit:
             code_only.encode_batch([seq([2], "text")], "text")
         assert code_only.text_invocations == 0
 
+    def test_code_only_model_has_no_text_head(self):
+        code_only = DualEncoderModel(tiny_config(), None)
+        hidden = code_only.encode_batch([seq([2])], "code")
+        with pytest.raises(ModelError, match="no text"):
+            code_only.project(hidden, "text")
+
+    def test_code_only_model_has_no_logit_scale(self):
+        code_only = DualEncoderModel(tiny_config(), None)
+        with pytest.raises(ModelError, match="no logit scale"):
+            code_only.logit_scale()
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ModelError):
             EncoderConfig(vocab_size=16, embed_dim=6, num_heads=4)
@@ -146,6 +157,11 @@ class TestProject:
         model = make_model()
         with pytest.raises(ModelError, match="degenerate"):
             model.project(ad.constant(np.zeros((1, 8))), "code")
+
+    def test_unknown_modality_rejected(self):
+        model = make_model()
+        with pytest.raises(ModelError, match="unknown modality"):
+            model.project(ad.constant(np.ones((1, 8))), "audio")
 
 
 class TestClassify:
