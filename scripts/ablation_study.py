@@ -13,12 +13,13 @@ from vulcontrast.comments import ProviderConfig, attach_comments
 from vulcontrast.data import stratified_split
 from vulcontrast.evaluation import compute_metrics, predict
 from vulcontrast.fixtures import generate_fixture
+from vulcontrast.losses import LossWeights
 from vulcontrast.training import TrainConfig, train
 
 VARIANTS = [
     ("full objective", {}),
-    ("no aug alignment", {"disable_aug_alignment": True}),
-    ("no consistency", {"disable_consistency": True}),
+    ("no aug alignment", {"weights": LossWeights(clip_aug=0.0)}),
+    ("no consistency", {"weights": LossWeights(consistency=0.0)}),
     ("fine-tuning only", {"fine_tuning_only": True}),
 ]
 

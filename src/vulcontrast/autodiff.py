@@ -380,8 +380,9 @@ def constant(data):
 # ----------------------------------------------------------------- backward
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) into every reachable tensor's .grad, then
-    release the graph: a second call through it raises `GradError`."""
+    """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad. Each
+    non-leaf node is released once walked: its graph and its .grad are
+    dropped, so a second call through it raises `GradError`."""
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got {loss.data.shape}")
     topo = []
@@ -403,7 +404,7 @@ def backward(loss):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-            node._prev, node._backward = (), _no_graph
+            node._prev, node._backward, node.grad = (), _no_graph, None
 
 
 # --------------------------------------------------------------- grad check

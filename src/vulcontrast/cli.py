@@ -83,10 +83,12 @@ def _build_train_config(args):
     values = {k: _parse_config_value(k, v) for k, v in values.items()}
     if args.seed is not None:
         values["seed"] = args.seed
-    for flag in ("fine_tuning_only", "disable_aug_alignment",
-                 "disable_consistency"):
-        if getattr(args, flag, False):
-            values[flag] = True
+    if args.fine_tuning_only:
+        values["fine_tuning_only"] = True
+    for flag, weight in (("disable_aug_alignment", "clip_aug"),
+                         ("disable_consistency", "consistency")):
+        if getattr(args, flag):
+            values[weight] = 0.0
     weights = LossWeights(**{f.name: values.pop(f.name)
                              for f in fields(LossWeights) if f.name in values})
     return TrainConfig(weights=weights, **values)

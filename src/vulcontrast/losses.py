@@ -4,7 +4,8 @@ alignment, cross-view consistency, classification BCE and the weighted total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,9 +26,11 @@ class LossWeights:
     classification: float = 1.0
 
     def __post_init__(self):
-        if min(self.clip_orig, self.clip_aug, self.consistency,
-               self.classification) < 0:
-            raise LossError("loss weights must be non-negative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise LossError(f"loss weight {f.name} = {value!r} must be "
+                                "finite and non-negative")
 
 
 @dataclass
@@ -105,37 +108,26 @@ def bce_loss(probs, labels):
 
 def total_loss(sim_orig, sim_aug, z_code, z_code_aug, z_text, z_text_aug,
                probs, labels, weights):
-    """Weighted sum of the four objectives. Components with zero weight are
-    skipped (their contribution and gradient are exactly zero) and logged
-    as 0.
+    """Weighted sum of the four objectives, added in the order below. A term
+    whose weight is 0 is not computed: it adds nothing to the loss or its
+    gradient and is logged as 0, so a view that only such terms read may
+    be None.
 
     Returns (scalar loss tensor, LossBreakdown).
     """
-    zero = ad.constant(0.0)
-    parts = {}
-    if weights.clip_orig > 0:
-        parts["clip_orig"] = clip_loss(sim_orig)
-    if weights.clip_aug > 0:
-        parts["clip_aug"] = clip_loss(sim_aug)
-    if weights.consistency > 0:
-        parts["consistency"] = consistency_loss(
-            z_code, z_code_aug, z_text, z_text_aug)
-    if weights.classification > 0:
-        parts["classification"] = bce_loss(probs, labels)
-
-    weight_of = {"clip_orig": weights.clip_orig,
-                 "clip_aug": weights.clip_aug,
-                 "consistency": weights.consistency,
-                 "classification": weights.classification}
-    total = zero
-    for name, term in parts.items():
-        total = ad.add(total, ad.scale(term, weight_of[name]))
-    breakdown = LossBreakdown(
-        clip_orig=parts["clip_orig"].item() if "clip_orig" in parts else 0.0,
-        clip_aug=parts["clip_aug"].item() if "clip_aug" in parts else 0.0,
-        consistency=parts["consistency"].item() if "consistency" in parts else 0.0,
-        classification=(parts["classification"].item()
-                        if "classification" in parts else 0.0),
-        total=total.item(),
-    )
-    return total, breakdown
+    terms = {
+        "clip_orig": lambda: clip_loss(sim_orig),
+        "clip_aug": lambda: clip_loss(sim_aug),
+        "consistency": lambda: consistency_loss(z_code, z_code_aug, z_text,
+                                                z_text_aug),
+        "classification": lambda: bce_loss(probs, labels),
+    }
+    total = ad.constant(0.0)
+    logged = dict.fromkeys(terms, 0.0)
+    for name, term in terms.items():
+        weight = getattr(weights, name)
+        if weight > 0:
+            value = term()
+            total = ad.add(total, ad.scale(value, weight))
+            logged[name] = value.item()
+    return total, LossBreakdown(total=total.item(), **logged)

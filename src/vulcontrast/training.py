@@ -4,6 +4,7 @@ clipping, seeding and checkpointing."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 import zlib
@@ -49,27 +50,23 @@ class TrainConfig:
     ff_dim: int = 128
     proj_dim: int = 32
     vocab_size: int = 2048
-    disable_aug_alignment: bool = False
-    disable_consistency: bool = False
-    fine_tuning_only: bool = False
+    fine_tuning_only: bool = False   # shorthand for zero contrastive weights
     select_best_f1: bool = True
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1 or self.learning_rate <= 0:
+        if self.batch_size < 1 or self.epochs < 1:
             raise TrainError(f"invalid training config: {self}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainError(f"learning_rate {self.learning_rate!r} must be "
+                             "finite and positive")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise TrainError(f"weight_decay {self.weight_decay!r} must be "
+                             "finite and non-negative")
         if not 0.0 <= self.alpha <= 1.0:
             raise TrainError(f"alpha {self.alpha} must lie in [0, 1]")
-        w = self.weights
         if self.fine_tuning_only:
-            w = LossWeights(0.0, 0.0, 0.0, w.classification)
-        else:
-            if self.disable_aug_alignment:
-                w = LossWeights(w.clip_orig, 0.0, w.consistency,
-                                w.classification)
-            if self.disable_consistency:
-                w = LossWeights(w.clip_orig, w.clip_aug, 0.0,
-                                w.classification)
-        self.weights = w
+            self.weights = LossWeights(0.0, 0.0, 0.0,
+                                       self.weights.classification)
 
     def encoder_config(self, vocab_size):
         return EncoderConfig(
@@ -168,9 +165,8 @@ def train(records, validation, config, log_path=None, progress=None):
 
     tokenized = [(tokenize(r.code, "code"), tokenize(r.comment, "text"))
                  for r in records]
-    contrastive = (config.weights.clip_orig != 0
-                   or config.weights.clip_aug != 0
-                   or config.weights.consistency != 0)
+    w = config.weights
+    contrastive = max(w.clip_orig, w.clip_aug, w.consistency) > 0
 
     log_rows = []
     epoch_logs = []
@@ -220,13 +216,10 @@ def train(records, validation, config, log_path=None, progress=None):
                 sim_o = similarity_matrix(z_code, z_text, gamma)
                 sim_a = similarity_matrix(z_code_aug, z_text_aug, gamma)
             else:
-                z_code_aug = z_text = z_text_aug = z_code
-                sim_o = sim_a = None
+                z_code_aug = z_text = z_text_aug = sim_o = sim_a = None
             loss, breakdown = total_loss(
                 sim_o, sim_a, z_code, z_code_aug, z_text, z_text_aug,
                 probs, labels, config.weights)
-            if not np.isfinite(breakdown.total):
-                raise TrainError(f"non-finite loss at step {step}")
             ad.backward(loss)
             optimizer.clip_gradients()
             optimizer.step()

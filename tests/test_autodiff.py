@@ -6,6 +6,7 @@ from vulcontrast import autodiff as ad
 from vulcontrast.data import build_vocab, encode, tokenize
 from vulcontrast.evaluation import predict
 from vulcontrast.fixtures import generate_fixture
+from vulcontrast.losses import bce_loss
 from vulcontrast.model import DualEncoderModel, EncoderConfig
 
 
@@ -82,6 +83,50 @@ class TestBackward:
         ad.backward(ad.sum_all(x))
         ad.backward(ad.sum_all(x))
         assert np.allclose(x.grad, [[2.0, 2.0]])
+
+
+def walk_without_release(loss):
+    """`backward`'s walk, in the same order, releasing nothing."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((q, False) for q in node._prev
+                         if id(q) not in visited)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestGradRelease:
+    def test_non_leaf_grads_freed_and_leaf_grads_bit_equal(self):
+        records = generate_fixture(n=8, seed=4)
+        vocab = build_vocab(records, "code", 128)
+        cfg = EncoderConfig(vocab_size=vocab.size, embed_dim=8, num_blocks=1,
+                            num_heads=2, ff_dim=16, max_input_length=64,
+                            proj_dim=4)
+        seqs = [encode(tokenize(r.code, "code"), vocab, 64) for r in records]
+
+        def run(walk):
+            model = DualEncoderModel(cfg, None, seed=3)
+            z = model.project(model.encode_batch(seqs, "code"), "code")
+            _, probs = model.classify(z)
+            loss = bce_loss(probs, [r.label for r in records])
+            walk(loss)
+            return model, z, loss
+
+        released, z, loss = run(ad.backward)
+        kept, kept_z, _ = run(walk_without_release)
+        assert z.grad is None and loss.grad is None
+        assert kept_z.grad is not None
+        for name, param in released.params.items():
+            assert param.grad is not None, name
+            assert np.array_equal(param.grad, kept.params[name].grad), name
 
 
 class TestNoGrad:

@@ -1,9 +1,11 @@
 import json
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from vulcontrast.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_OK,
+from vulcontrast.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_OK, _CONFIG_TYPES,
                              _build_train_config, build_parser, run)
 from vulcontrast.data import DatasetError, load_jsonl
 from vulcontrast.training import TrainConfig, load_checkpoint, save_checkpoint
@@ -140,10 +142,36 @@ class TestTrain:
                     str(workdir / "train.commented.jsonl"),
                     "--config", str(bad)]) == EXIT_CONTRACT
 
+    @pytest.mark.parametrize("line", [
+        "clip_orig = nan", "clip_aug = inf", "consistency = nan",
+        "classification = -1", "learning_rate = nan", "learning_rate = inf",
+        "learning_rate = 0", "weight_decay = -1", "weight_decay = nan",
+        "disable_consistency = true"])
+    def test_bad_config_value_exits_naming_it(self, workdir, tmp_path,
+                                              capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        assert run(["train", "--train",
+                    str(workdir / "train.commented.jsonl"),
+                    "--config", str(bad)]) == EXIT_CONTRACT
+        assert line.split()[0] in capsys.readouterr().err
 
-def config_from_file(path):
+    def test_uncommented_input_gets_stub_comments(self, workdir, tmp_path):
+        assert load_jsonl(str(workdir / "part.train.jsonl"))[0].comment \
+            is None
+        log = tmp_path / "loss.csv"
+        assert run(["train", "--train", str(workdir / "part.train.jsonl"),
+                    "--config", str(workdir / "train.cfg"),
+                    "--loss-log", str(log),
+                    "--output", str(tmp_path / "t.json")]) == EXIT_OK
+        rows = log.read_text().splitlines()[1:]
+        assert len(rows) == 2 * 6
+        assert all(float(row.split(",")[1]) > 0 for row in rows)  # clip_orig
+
+
+def config_from_file(path, *flags):
     args = build_parser().parse_args(
-        ["train", "--train", "unused.jsonl", "--config", str(path)])
+        ["train", "--train", "unused.jsonl", "--config", str(path), *flags])
     return _build_train_config(args)
 
 
@@ -168,6 +196,26 @@ class TestConfigFile:
         with pytest.raises(DatasetError,
                            match="epochs repeated on lines 1 and 4"):
             config_from_file(path)
+
+    @pytest.mark.parametrize("flag,weight", [
+        ("--disable-aug-alignment", "clip_aug"),
+        ("--disable-consistency", "consistency")])
+    def test_ablation_flag_zeroes_its_weight_over_file_value(self, tmp_path,
+                                                             flag, weight):
+        path = tmp_path / "weights.cfg"
+        path.write_text(f"{weight} = 0.3\n")
+        assert getattr(config_from_file(path).weights, weight) == 0.3
+        flagged = flat_config(config_from_file(path, flag))
+        assert flagged[weight] == 0.0
+        others = flat_config(TrainConfig())
+        others[weight] = 0.0
+        assert flagged == others
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = re.search(r"in place of `weights`:(.*?)\.\s", readme,
+                           re.S).group(1)
+        assert re.findall(r"`(\w+)`", listed) == list(_CONFIG_TYPES)
 
     def test_every_field_round_trips(self, tmp_path):
         config = TrainConfig()

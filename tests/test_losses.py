@@ -211,6 +211,21 @@ class TestTotalLoss:
         with pytest.raises(LossError):
             LossWeights(clip_orig=-0.1)
 
+    @pytest.mark.parametrize("name", ["clip_orig", "clip_aug", "consistency",
+                                      "classification"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_weight_rejected_by_name(self, name,
+                                                            value):
+        with pytest.raises(LossError, match=f"{name} = {value!r}"):
+            LossWeights(**{name: value})
+
+    def test_zero_weight_views_may_be_none(self):
+        _, _, z_c, _, _, _, probs, labels = random_batch(8)
+        total, bd = total_loss(None, None, z_c, None, None, None, probs,
+                               labels, LossWeights(0.0, 0.0, 0.0, 1.0))
+        assert bd.clip_orig == bd.clip_aug == bd.consistency == 0.0
+        assert total.item() == bd.total == bd.classification
+
 
 class TestLossGradients:
     def test_clip_loss_grad_check(self):

@@ -10,7 +10,7 @@ from vulcontrast.comments import ProviderConfig, attach_comments
 from vulcontrast.data import (TokenSequence, Vocabulary, build_vocab, encode,
                               tokenize)
 from vulcontrast.fixtures import generate_fixture
-from vulcontrast.losses import LossBreakdown, bce_loss
+from vulcontrast.losses import LossBreakdown, LossWeights, bce_loss
 from vulcontrast.model import (CODE_SIDE, DualEncoderModel, EncoderConfig,
                                ModelError)
 from vulcontrast.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
@@ -148,18 +148,32 @@ class TestConfigAblations:
         assert w.classification == 1.0
 
     def test_disable_aug_alignment(self):
-        cfg = small_config(disable_aug_alignment=True)
-        assert cfg.weights.clip_aug == 0.0
-        assert cfg.weights.clip_orig == 0.5
+        cfg = small_config(epochs=1, weights=LossWeights(clip_aug=0.0))
+        _, rows = train(small_records(n=8), [], cfg)
+        for _, bd, _ in rows:
+            assert bd.clip_aug == 0.0
+            assert min(bd.clip_orig, bd.consistency) > 0.0
 
     def test_disable_consistency(self):
-        cfg = small_config(disable_consistency=True)
-        assert cfg.weights.consistency == 0.0
-        assert cfg.weights.clip_aug == 0.5
+        cfg = small_config(epochs=1, weights=LossWeights(consistency=0.0))
+        _, rows = train(small_records(n=8), [], cfg)
+        for _, bd, _ in rows:
+            assert bd.consistency == 0.0
+            assert min(bd.clip_orig, bd.clip_aug) > 0.0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(TrainError):
             small_config(batch_size=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("learning_rate", 0.0), ("learning_rate", -1e-3),
+        ("weight_decay", math.nan), ("weight_decay", math.inf),
+        ("weight_decay", -1.0),
+    ])
+    def test_non_finite_or_out_of_range_rate_rejected(self, field, value):
+        with pytest.raises(TrainError, match=f"{field} {value!r}"):
+            small_config(**{field: value})
 
     def test_alpha_outside_unit_interval_rejected(self):
         for alpha in (1.5, -0.3):
@@ -220,6 +234,15 @@ class TestTrainLoop:
         assert 0.0 <= result.best_f1 <= 1.0
         assert 0 <= result.best_epoch < 2
         assert result.best_model_params is not None
+
+    def test_progress_called_once_per_epoch_with_its_log(self):
+        calls = []
+        result, _ = train(small_records(n=8), [], small_config(),
+                          progress=lambda epoch, log: calls.append(
+                              (epoch, log)))
+        assert [epoch for epoch, _ in calls] == [0, 1]
+        assert [log for _, log in calls] == result.epoch_logs
+        assert all(log.epoch == epoch for epoch, log in calls)
 
     def test_loss_log_written(self, tmp_path):
         records = small_records(n=8)
@@ -373,6 +396,24 @@ class TestCheckpoint:
         save_checkpoint(self.make_model(), path)
         self.doctor(path, lambda members, manifest: edit(manifest))
         with pytest.raises(CheckpointError, match="manifest key: seed"):
+            load_checkpoint(path)
+
+    def test_manifest_not_an_object_rejected(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(self.make_model(), path)
+        with np.load(path + ".npz") as archive:
+            members = {name: archive[name] for name in archive.files}
+        members["manifest"] = np.array(json.dumps([3, "code_config"]))
+        np.savez(path + ".npz", **members)
+        with pytest.raises(CheckpointError, match="not an object"):
+            load_checkpoint(path)
+
+    def test_bad_code_config_rejected(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(self.make_model(), path)
+        self.doctor(path, lambda members, manifest:
+                    manifest["code_config"].update(vocab_size="16"))
+        with pytest.raises(CheckpointError, match="bad model configuration"):
             load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
