@@ -183,7 +183,6 @@ def _cmd_train(args):
 def _cmd_eval(args):
     model, manifest, code_vocab, records = _load_for_inference(args)
     preds = predict(model, records, code_vocab, threshold=args.threshold,
-                    max_input_length=model.code_config.max_input_length,
                     method=args.method)
     metrics = compute_metrics(preds)
     obj = metrics.to_json_obj(method=args.method, dataset=args.input,
@@ -203,8 +202,7 @@ def _cmd_eval(args):
 
 def _cmd_pca_export(args):
     model, manifest, code_vocab, records = _load_for_inference(args)
-    embeddings = embed_code(model, records, code_vocab,
-                            model.code_config.max_input_length)
+    embeddings = embed_code(model, records, code_vocab)
     proj = pca_project(embeddings, [r.label for r in records],
                        ids=[r.id for r in records])
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -220,20 +218,24 @@ def _cmd_bench_latency(args):
     model, manifest, code_vocab, records = _load_for_inference(args)
     report = latency_bench(model, records, code_vocab,
                            repetitions=args.repetitions,
-                           batch_size=args.batch_size,
-                           max_input_length=model.code_config.max_input_length)
+                           batch_size=args.batch_size)
     _emit({"latency": vars(report).copy(), "seed": manifest["seed"]},
           args.output)
     return EXIT_OK
 
 
 def _load_prediction_set(path):
+    """The prediction set that `eval --predictions` wrote to `path`."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    preds = [Prediction(**p) for p in obj["predictions"]]
-    return PredictionSet(method=obj.get("method", path),
-                         threshold=obj.get("threshold", 0.5),
-                         predictions=preds)
+        try:
+            obj = json.load(fh)
+            preds = [Prediction(**p) for p in obj["predictions"]]
+            return PredictionSet(method=obj.get("method", path),
+                                 threshold=obj.get("threshold", 0.5),
+                                 predictions=preds)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise EvalError(
+                f"{path} is not a prediction file: {exc!r}") from exc
 
 
 def _cmd_fn_analysis(args):

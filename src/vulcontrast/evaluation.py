@@ -91,10 +91,13 @@ class FnAnalysis:
 
 # ----------------------------------------------------------------- predict
 
-def embed_code(model, records, vocab, max_input_length, batch_size=32):
+def embed_code(model, records, vocab, max_input_length=None, batch_size=32):
     """Projected code embeddings, one row per record, encoded in chunks of
     `batch_size` without building a graph; the text encoder is never
-    touched."""
+    touched. Code is cut to `max_input_length` tokens, by default the
+    model's own."""
+    if max_input_length is None:
+        max_input_length = model.code_config.max_input_length
     rows = []
     with ad.no_grad():
         for i in range(0, len(records), batch_size):
@@ -106,8 +109,10 @@ def embed_code(model, records, vocab, max_input_length, batch_size=32):
 
 
 def predict(model, records, code_vocab, threshold=DEFAULT_THRESHOLD,
-            max_input_length=256, method="vulcontrast", batch_size=32):
+            max_input_length=None, method="vulcontrast", batch_size=32):
     """Code-only inference; the text encoder is never touched."""
+    if batch_size < 1:
+        raise EvalError(f"predict: batch_size {batch_size} must be >= 1")
     if not records:
         raise EvalError("predict: empty record list")
     if not 0.0 < threshold < 1.0:
@@ -181,9 +186,11 @@ def pca_project(embeddings, labels, ids=None):
 # ----------------------------------------------------------------- latency
 
 def latency_bench(model, records, code_vocab, repetitions=3, batch_size=1,
-                  max_input_length=256):
+                  max_input_length=None):
     if repetitions < 3:
         raise EvalError("latency_bench: repetitions must be >= 3")
+    if batch_size < 1:
+        raise EvalError(f"latency_bench: batch_size {batch_size} must be >= 1")
     counter_before = model.text_invocations
     # warm-up
     predict(model, records[:batch_size], code_vocab,

@@ -56,6 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise TrainError(f"invalid training config: {self}")
+        if self.seed < 0:
+            raise TrainError(f"seed {self.seed} must be non-negative")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise TrainError(f"learning_rate {self.learning_rate!r} must be "
                              "finite and positive")
@@ -163,10 +165,24 @@ def train(records, validation, config, log_path=None, progress=None):
     optimizer = AdamOptimizer(model.parameters(), config.learning_rate,
                               config.weight_decay)
 
-    tokenized = [(tokenize(r.code, "code"), tokenize(r.comment, "text"))
-                 for r in records]
+    tokens = {"code": [tokenize(r.code, "code") for r in records],
+              "text": [tokenize(r.comment, "text") for r in records]}
+    vocabs = {"code": code_vocab, "text": text_vocab}
     w = config.weights
-    contrastive = max(w.clip_orig, w.clip_aug, w.consistency) > 0
+    reads_text = max(w.clip_orig, w.consistency) > 0
+    reads_aug = max(w.clip_aug, w.consistency) > 0
+
+    def view(batch_idx, modality, epoch=None):
+        """The batch's projected `modality` view, augmented if `epoch`."""
+        seqs = []
+        for i in batch_idx:
+            toks = tokens[modality][i]
+            if epoch is not None:
+                toks = augment_tokens(toks, config.alpha, _substream(
+                    config.seed, records[i].id, modality, epoch))
+            seqs.append(encode(toks, vocabs[modality],
+                               config.max_input_length))
+        return model.project(model.encode_batch(seqs, modality), modality)
 
     log_rows = []
     epoch_logs = []
@@ -180,46 +196,21 @@ def train(records, validation, config, log_path=None, progress=None):
         order = shuffle_rng.permutation(len(records))
         for batch_idx in _batches(list(order), config.batch_size):
             step += 1
-            code_seqs, code_aug_seqs, text_seqs, text_aug_seqs = [], [], [], []
-            labels = []
-            for i in batch_idx:
-                rec = records[i]
-                code_tokens, text_tokens = tokenized[i]
-                code_seqs.append(encode(code_tokens, code_vocab,
-                                        config.max_input_length))
-                labels.append(rec.label)
-                if contrastive:
-                    code_aug = augment_tokens(
-                        code_tokens, config.alpha,
-                        _substream(config.seed, rec.id, "code", epoch))
-                    text_aug = augment_tokens(
-                        text_tokens, config.alpha,
-                        _substream(config.seed, rec.id, "text", epoch))
-                    text_seqs.append(encode(text_tokens, text_vocab,
-                                            config.max_input_length))
-                    code_aug_seqs.append(encode(code_aug, code_vocab,
-                                                config.max_input_length))
-                    text_aug_seqs.append(encode(text_aug, text_vocab,
-                                                config.max_input_length))
-
-            z_code = model.project(model.encode_batch(code_seqs, "code"),
-                                   "code")
+            z_code = view(batch_idx, "code")
             _, probs = model.classify(z_code)
-            if contrastive:
-                z_code_aug = model.project(
-                    model.encode_batch(code_aug_seqs, "code"), "code")
-                z_text = model.project(
-                    model.encode_batch(text_seqs, "text"), "text")
-                z_text_aug = model.project(
-                    model.encode_batch(text_aug_seqs, "text"), "text")
-                gamma = model.logit_scale()
-                sim_o = similarity_matrix(z_code, z_text, gamma)
-                sim_a = similarity_matrix(z_code_aug, z_text_aug, gamma)
-            else:
-                z_code_aug = z_text = z_text_aug = sim_o = sim_a = None
+            # built only if a weighted term reads it; else None to total_loss
+            z_code_aug = view(batch_idx, "code", epoch) if reads_aug else None
+            z_text = view(batch_idx, "text") if reads_text else None
+            z_text_aug = view(batch_idx, "text", epoch) if reads_aug else None
+            gamma = (model.logit_scale()
+                     if max(w.clip_orig, w.clip_aug) > 0 else None)
+            sim_o = (similarity_matrix(z_code, z_text, gamma)
+                     if w.clip_orig > 0 else None)
+            sim_a = (similarity_matrix(z_code_aug, z_text_aug, gamma)
+                     if w.clip_aug > 0 else None)
             loss, breakdown = total_loss(
-                sim_o, sim_a, z_code, z_code_aug, z_text, z_text_aug,
-                probs, labels, config.weights)
+                sim_o, sim_a, z_code, z_code_aug, z_text, z_text_aug, probs,
+                [records[i].label for i in batch_idx], w)
             ad.backward(loss)
             optimizer.clip_gradients()
             optimizer.step()
@@ -228,8 +219,7 @@ def train(records, validation, config, log_path=None, progress=None):
 
         val_metrics = None
         if validation:
-            preds = predict(model, validation, code_vocab,
-                            max_input_length=config.max_input_length)
+            preds = predict(model, validation, code_vocab)
             val_metrics = compute_metrics(preds)
             if val_metrics.f1 > best_f1:
                 best_f1 = val_metrics.f1

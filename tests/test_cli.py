@@ -146,7 +146,7 @@ class TestTrain:
         "clip_orig = nan", "clip_aug = inf", "consistency = nan",
         "classification = -1", "learning_rate = nan", "learning_rate = inf",
         "learning_rate = 0", "weight_decay = -1", "weight_decay = nan",
-        "disable_consistency = true"])
+        "seed = -1", "disable_consistency = true"])
     def test_bad_config_value_exits_naming_it(self, workdir, tmp_path,
                                               capsys, line):
         bad = tmp_path / "bad.cfg"
@@ -155,6 +155,12 @@ class TestTrain:
                     str(workdir / "train.commented.jsonl"),
                     "--config", str(bad)]) == EXIT_CONTRACT
         assert line.split()[0] in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_naming_it(self, workdir, capsys):
+        assert run(["train", "--train",
+                    str(workdir / "train.commented.jsonl"),
+                    "--seed", "-1"]) == EXIT_CONTRACT
+        assert "seed" in capsys.readouterr().err
 
     def test_uncommented_input_gets_stub_comments(self, workdir, tmp_path):
         assert load_jsonl(str(workdir / "part.train.jsonl"))[0].comment \
@@ -301,6 +307,13 @@ class TestBenchLatency:
         assert obj["latency"]["sample_count"] == 24
         assert obj["latency"]["mean_s"] > 0
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_bad_batch_size_exits_naming_it(self, workdir, capsys, size):
+        assert run(["bench-latency", "--checkpoint", str(workdir / "model"),
+                    "--input", str(workdir / "part.val.jsonl"),
+                    "--batch-size", size]) == EXIT_CONTRACT
+        assert f"batch_size {size}" in capsys.readouterr().err
+
 
 class TestFnAnalysis:
     def test_composition(self, workdir, capsys):
@@ -331,6 +344,21 @@ class TestFnAnalysis:
                     "--pred", str(workdir / "preds-b.json"),
                     "--gold", str(workdir / "part.test.jsonl")]) \
             == EXIT_CONTRACT
+
+    @pytest.mark.parametrize("content", [
+        {"method": "a"},
+        {"predictions": [{"id": "x", "probability": 0.5}]},
+        [{"id": "x", "probability": 0.5, "predicted": 0, "gold": 1}],
+    ], ids=["no-predictions", "entry-without-labels", "top-level-list"])
+    def test_bad_prediction_file_exits_naming_it(self, workdir, tmp_path,
+                                                 capsys, content):
+        bad = tmp_path / "bad-preds.json"
+        bad.write_text(json.dumps(content))
+        assert run(["fn-analysis", "--pred", str(bad), "--pred", str(bad),
+                    "--pred", str(bad),
+                    "--gold", str(workdir / "part.test.jsonl")]) \
+            == EXIT_CONTRACT
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestExitCodes:

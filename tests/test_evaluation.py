@@ -4,7 +4,7 @@ import pytest
 from vulcontrast.comments import ProviderConfig, attach_comments
 from vulcontrast.data import FunctionRecord, build_vocab
 from vulcontrast.evaluation import (EvalError, Prediction, PredictionSet,
-                                    REGION_NAMES, compute_metrics,
+                                    REGION_NAMES, compute_metrics, embed_code,
                                     false_negative_analysis, latency_bench,
                                     pca_project, predict)
 from vulcontrast.fixtures import generate_fixture
@@ -90,6 +90,19 @@ def small_model():
 
 
 class TestPredict:
+    def test_defaults_to_the_models_own_input_length(self, small_model):
+        _, records, vocab = small_model
+        cfg = EncoderConfig(vocab_size=vocab.size, embed_dim=8, num_blocks=1,
+                            num_heads=2, ff_dim=16, max_input_length=16,
+                            proj_dim=4)
+        short = DualEncoderModel(cfg, None, seed=1)
+        assert max(len(r.code.split()) for r in records) > 16
+        ps = predict(short, records, vocab)
+        assert len(ps.predictions) == len(records)
+        assert embed_code(short, records, vocab).shape == (len(records), 4)
+        report = latency_bench(short, records[:2], vocab, repetitions=3)
+        assert report.sample_count == 6
+
     def test_probabilities_and_threshold(self, small_model):
         model, records, vocab = small_model
         ps = predict(model, records, vocab, max_input_length=128)

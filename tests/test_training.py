@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vulcontrast import autodiff as ad
+from vulcontrast import training
+from vulcontrast.augment import augment_tokens
 from vulcontrast.comments import ProviderConfig, attach_comments
 from vulcontrast.data import (TokenSequence, Vocabulary, build_vocab, encode,
                               tokenize)
@@ -180,6 +182,10 @@ class TestConfigAblations:
             with pytest.raises(TrainError, match="alpha"):
                 small_config(alpha=alpha)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(TrainError, match="seed -1"):
+            small_config(seed=-1)
+
 
 class TestTrainLoop:
     def test_missing_comment_rejected(self):
@@ -220,6 +226,28 @@ class TestTrainLoop:
         for name in text_side + ["proj.text", "logit_scale"]:
             assert np.array_equal(result.model.params[name].data,
                                   fresh.params[name].data), name
+
+    @pytest.mark.parametrize("weights,passes,augments", [
+        (LossWeights(), 2, 2),
+        (LossWeights(clip_aug=0.0, consistency=0.0), 1, 0),
+        (LossWeights(clip_orig=0.0, consistency=0.0), 1, 2),
+        (LossWeights(clip_orig=0.0, clip_aug=0.0), 2, 2),
+        (LossWeights(0.0, 0.0, 0.0), 0, 0),
+    ], ids=["full", "clip_orig", "clip_aug", "consistency", "fine_tuning"])
+    def test_builds_only_the_views_a_weighted_term_reads(
+            self, monkeypatch, weights, passes, augments):
+        calls = []
+
+        def counting_augment(*args):
+            calls.append(args)
+            return augment_tokens(*args)
+
+        monkeypatch.setattr(training, "augment_tokens", counting_augment)
+        records = small_records(n=8)
+        result, rows = train(records, [], small_config(epochs=1,
+                                                       weights=weights))
+        assert result.model.text_invocations == passes * len(rows)
+        assert len(calls) == augments * len(records)
 
     def test_full_objective_invokes_text_encoder(self):
         records = small_records(n=8)
