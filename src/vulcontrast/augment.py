@@ -7,9 +7,9 @@ import hashlib
 import numpy as np
 
 
-def _substream(seed, example_id, view, epoch=0):
-    digest = hashlib.sha256(
-        f"{seed}:{example_id}:{view}:{epoch}".encode()).digest()
+def keyed_rng(*key):
+    """A generator seeded by the sha256 of the key: one stream per key."""
+    digest = hashlib.sha256(":".join(map(str, key)).encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
@@ -43,8 +43,8 @@ def random_delete(tokens, alpha, rng):
 def augment_tokens(tokens, alpha, rng):
     """Swap then delete, the combined perturbation applied to each view.
 
-    Each view draws from its own substream,
-    `_substream(seed, example_id, "code" | "text", epoch)`, so either view
+    Each view draws from its own stream,
+    `keyed_rng(seed, example_id, "code" | "text", epoch)`, so either view
     can be regenerated alone.
     """
     if not 0.0 <= alpha <= 1.0:

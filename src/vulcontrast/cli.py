@@ -8,7 +8,7 @@ import sys
 from dataclasses import asdict, fields
 
 from . import __version__
-from .augment import augment_tokens, _substream
+from .augment import augment_tokens, keyed_rng
 from .comments import ProviderConfig, attach_comments, CommentError
 from .data import (DatasetError, Vocabulary, dataset_stats, load_jsonl,
                    save_jsonl, stratified_split, tokenize)
@@ -117,7 +117,11 @@ def _cmd_stats(args):
 
 def _cmd_split(args):
     records = load_jsonl(args.input)
-    fractions = [float(f) for f in args.fractions.split("/")]
+    try:
+        fractions = [float(f) for f in args.fractions.split("/")]
+    except ValueError:
+        raise DatasetError("--fractions expects numbers joined by '/', got "
+                           f"{args.fractions!r}") from None
     train_r, val_r, test_r = stratified_split(records, fractions, args.seed)
     for name, part in (("train", train_r), ("val", val_r), ("test", test_r)):
         save_jsonl(part, f"{args.output_prefix}.{name}.jsonl")
@@ -143,10 +147,10 @@ def _cmd_augment(args):
     rows = []
     for rec in records:
         code_aug = augment_tokens(tokenize(rec.code, "code"), args.alpha,
-                                  _substream(args.seed, rec.id, "code"))
+                                  keyed_rng(args.seed, rec.id, "code", 0))
         text_aug = augment_tokens(tokenize(rec.comment or "", "text"),
                                   args.alpha,
-                                  _substream(args.seed, rec.id, "text"))
+                                  keyed_rng(args.seed, rec.id, "text", 0))
         obj = rec.to_json_obj()
         obj["code_aug"] = " ".join(code_aug)
         obj["comment_aug"] = " ".join(text_aug)

@@ -96,6 +96,8 @@ def embed_code(model, records, vocab, max_input_length=None, batch_size=32):
     `batch_size` without building a graph; the text encoder is never
     touched. Code is cut to `max_input_length` tokens, by default the
     model's own."""
+    if batch_size < 1:
+        raise EvalError(f"embed_code: batch_size {batch_size} must be >= 1")
     if max_input_length is None:
         max_input_length = model.code_config.max_input_length
     rows = []
@@ -111,8 +113,6 @@ def embed_code(model, records, vocab, max_input_length=None, batch_size=32):
 def predict(model, records, code_vocab, threshold=DEFAULT_THRESHOLD,
             max_input_length=None, method="vulcontrast", batch_size=32):
     """Code-only inference; the text encoder is never touched."""
-    if batch_size < 1:
-        raise EvalError(f"predict: batch_size {batch_size} must be >= 1")
     if not records:
         raise EvalError("predict: empty record list")
     if not 0.0 < threshold < 1.0:

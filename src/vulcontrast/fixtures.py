@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import FunctionRecord
+from .data import DatasetError, FunctionRecord
 
 UNSAFE_PATTERN = ("execraw", "(", "userbuf")
 NOISE_FRAC = 0.3
@@ -49,6 +49,8 @@ def _with_noise(tokens, rng):
 def generate_fixture(n=400, seed=13):
     """Balanced record set; positives carry one planted unsafe call and a
     CWE tag."""
+    if n < 1:
+        raise DatasetError(f"fixture count {n} must be at least 1")
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n):

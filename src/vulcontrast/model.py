@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .augment import keyed_rng
 from .data import PAD_ID
 
 LOGIT_SCALE_INIT = 14.0
@@ -55,8 +56,8 @@ class DualEncoderModel:
     """All learnable state: two encoders, two projection heads, the logit
     scale and the classifier head. With `text_config` None the model is the
     code side only, the parameters named by `CODE_SIDE`, which is all that
-    inference reads. `proj.code` and `cls.*` are drawn after the text
-    encoder from one RNG stream, so their initial values depend on it."""
+    inference reads. Each random parameter is drawn from `keyed_rng(seed,
+    name)`, so the code side is the same with or without a text side."""
 
     def __init__(self, code_config, text_config, seed=0):
         self.code_config = code_config
@@ -64,43 +65,40 @@ class DualEncoderModel:
         self.seed = seed
         self.text_invocations = 0
         self.params = {}
-        rng = np.random.default_rng(seed)
-        self._init_encoder("code", code_config, rng)
+        self._init_encoder("code", code_config)
         d, p = code_config.embed_dim, code_config.proj_dim
+        self._normal("proj.code", (d, p))
+        self._normal("cls.w1", (p, p))
+        self._add("cls.b1", np.zeros((1, p)))
+        self._normal("cls.w2", (p, 1))
+        self._add("cls.b2", np.zeros((1, 1)))
         if text_config is not None:
             if text_config.proj_dim != p:
                 raise ModelError(
                     "code and text projection dimensions must match")
-            self._init_encoder("text", text_config, rng)
-        self._add("proj.code", rng.normal(0, INIT_STD, (d, p)))
-        if text_config is not None:
-            self._add("proj.text",
-                      rng.normal(0, INIT_STD, (text_config.embed_dim, p)))
+            self._init_encoder("text", text_config)
+            self._normal("proj.text", (text_config.embed_dim, p))
             self._add("logit_scale", np.array([[math.log(LOGIT_SCALE_INIT)]]))
-        self._add("cls.w1", rng.normal(0, INIT_STD, (p, p)))
-        self._add("cls.b1", np.zeros((1, p)))
-        self._add("cls.w2", rng.normal(0, INIT_STD, (p, 1)))
-        self._add("cls.b2", np.zeros((1, 1)))
 
     def _add(self, name, data):
         self.params[name] = ad.parameter(data, name)
 
-    def _init_encoder(self, tag, cfg, rng):
+    def _normal(self, name, shape):
+        self._add(name, keyed_rng(self.seed, name).normal(0, INIT_STD, shape))
+
+    def _init_encoder(self, tag, cfg):
         d, dh = cfg.embed_dim, cfg.embed_dim // cfg.num_heads
-        self._add(f"{tag}.embed", rng.normal(0, INIT_STD, (cfg.vocab_size, d)))
-        self._add(f"{tag}.pos",
-                  rng.normal(0, INIT_STD, (cfg.max_input_length, d)))
+        self._normal(f"{tag}.embed", (cfg.vocab_size, d))
+        self._normal(f"{tag}.pos", (cfg.max_input_length, d))
         for b in range(cfg.num_blocks):
             for h in range(cfg.num_heads):
                 for part in ("wq", "wk", "wv"):
-                    self._add(f"{tag}.block{b}.head{h}.{part}",
-                              rng.normal(0, INIT_STD, (d, dh)))
-                self._add(f"{tag}.block{b}.head{h}.wo",
-                          rng.normal(0, INIT_STD, (dh, d)))
+                    self._normal(f"{tag}.block{b}.head{h}.{part}", (d, dh))
+                self._normal(f"{tag}.block{b}.head{h}.wo", (dh, d))
             self._add(f"{tag}.block{b}.attn_bias", np.zeros((1, d)))
-            self._add(f"{tag}.block{b}.ff_w1", rng.normal(0, INIT_STD, (d, cfg.ff_dim)))
+            self._normal(f"{tag}.block{b}.ff_w1", (d, cfg.ff_dim))
             self._add(f"{tag}.block{b}.ff_b1", np.zeros((1, cfg.ff_dim)))
-            self._add(f"{tag}.block{b}.ff_w2", rng.normal(0, INIT_STD, (cfg.ff_dim, d)))
+            self._normal(f"{tag}.block{b}.ff_w2", (cfg.ff_dim, d))
             self._add(f"{tag}.block{b}.ff_b2", np.zeros((1, d)))
 
     # -------------------------------------------------------------- helpers

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .augment import augment_tokens, _substream
+from .augment import augment_tokens, keyed_rng
 from .data import PAD_TOKEN, UNK_TOKEN, build_vocab, encode, tokenize
 from .losses import LossWeights, similarity_matrix, total_loss
-from .model import CODE_SIDE, DualEncoderModel, EncoderConfig
+from .model import (CODE_SIDE, LOGIT_SCALE_INIT, DualEncoderModel,
+                    EncoderConfig)
 
 CHECKPOINT_VERSION = 3
 
@@ -151,26 +152,27 @@ def train(records, validation, config, log_path=None, progress=None):
     best-validation-F1 parameter snapshot and per-epoch logs."""
     from .evaluation import predict, compute_metrics
 
+    if not records:
+        raise TrainError("no training records")
     for rec in records:
         if rec.comment is None:
             raise TrainError(f"record {rec.id!r} has no comment; "
                              "run attach_comments first")
 
-    code_vocab = build_vocab(records, "code", config.vocab_size)
-    text_vocab = build_vocab(records, "text", config.vocab_size)
-    model = DualEncoderModel(
-        config.encoder_config(code_vocab.size),
-        config.encoder_config(text_vocab.size),
-        seed=config.seed)
-    optimizer = AdamOptimizer(model.parameters(), config.learning_rate,
-                              config.weight_decay)
-
-    tokens = {"code": [tokenize(r.code, "code") for r in records],
-              "text": [tokenize(r.comment, "text") for r in records]}
-    vocabs = {"code": code_vocab, "text": text_vocab}
     w = config.weights
     reads_text = max(w.clip_orig, w.consistency) > 0
     reads_aug = max(w.clip_aug, w.consistency) > 0
+    vocabs = {"code": build_vocab(records, "code", config.vocab_size)}
+    tokens = {"code": [tokenize(r.code, "code") for r in records]}
+    text_config = None  # no weighted term reads text: no text side at all
+    if reads_text or reads_aug:
+        vocabs["text"] = build_vocab(records, "text", config.vocab_size)
+        tokens["text"] = [tokenize(r.comment, "text") for r in records]
+        text_config = config.encoder_config(vocabs["text"].size)
+    model = DualEncoderModel(config.encoder_config(vocabs["code"].size),
+                             text_config, seed=config.seed)
+    optimizer = AdamOptimizer(model.parameters(), config.learning_rate,
+                              config.weight_decay)
 
     def view(batch_idx, modality, epoch=None):
         """The batch's projected `modality` view, augmented if `epoch`."""
@@ -178,7 +180,7 @@ def train(records, validation, config, log_path=None, progress=None):
         for i in batch_idx:
             toks = tokens[modality][i]
             if epoch is not None:
-                toks = augment_tokens(toks, config.alpha, _substream(
+                toks = augment_tokens(toks, config.alpha, keyed_rng(
                     config.seed, records[i].id, modality, epoch))
             seqs.append(encode(toks, vocabs[modality],
                                config.max_input_length))
@@ -215,11 +217,12 @@ def train(records, validation, config, log_path=None, progress=None):
             optimizer.clip_gradients()
             optimizer.step()
             with ad.no_grad():
-                log_rows.append((step, breakdown, model.logit_scale().item()))
+                log_rows.append((step, breakdown, model.logit_scale().item()
+                                 if text_config else LOGIT_SCALE_INIT))
 
         val_metrics = None
         if validation:
-            preds = predict(model, validation, code_vocab)
+            preds = predict(model, validation, vocabs["code"])
             val_metrics = compute_metrics(preds)
             if val_metrics.f1 > best_f1:
                 best_f1 = val_metrics.f1
@@ -243,7 +246,7 @@ def train(records, validation, config, log_path=None, progress=None):
     return TrainResult(
         model=model, best_model_params=best_params, best_epoch=best_epoch,
         best_f1=best_f1, epoch_logs=epoch_logs,
-        code_vocab=code_vocab), log_rows
+        code_vocab=vocabs["code"]), log_rows
 
 
 def write_loss_log(log_rows, path):

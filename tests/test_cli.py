@@ -69,6 +69,14 @@ class TestFixtureAndStats:
                     "--output", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["stats"]["function_count"] == 40
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_bad_count_exits_naming_it(self, tmp_path, capsys, count):
+        out = tmp_path / "fx.jsonl"
+        assert run(["make-fixture", "--count", count,
+                    "--output", str(out)]) == EXIT_CONTRACT
+        assert f"fixture count {count}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSplit:
     def test_partition(self, workdir):
@@ -83,6 +91,14 @@ class TestSplit:
                     "--fractions", "0.5/0.5",
                     "--output-prefix", str(workdir / "bad")]) \
             == EXIT_CONTRACT
+
+    def test_unparseable_fractions_name_the_flag(self, workdir, capsys):
+        assert run(["split", "--input", str(workdir / "corpus.jsonl"),
+                    "--fractions", "a/b/c",
+                    "--output-prefix", str(workdir / "bad")]) \
+            == EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert "--fractions" in err and "'a/b/c'" in err
 
 
 class TestComment:
@@ -161,6 +177,15 @@ class TestTrain:
                     str(workdir / "train.commented.jsonl"),
                     "--seed", "-1"]) == EXIT_CONTRACT
         assert "seed" in capsys.readouterr().err
+
+    def test_empty_training_set_exits_without_checkpoint(self, tmp_path,
+                                                          capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert run(["train", "--train", str(empty),
+                    "--checkpoint", str(tmp_path / "m")]) == EXIT_CONTRACT
+        assert "no training records" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [empty]
 
     def test_uncommented_input_gets_stub_comments(self, workdir, tmp_path):
         assert load_jsonl(str(workdir / "part.train.jsonl"))[0].comment \

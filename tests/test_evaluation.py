@@ -142,6 +142,12 @@ class TestPredict:
         probs_b = [p.probability for p in b.predictions]
         assert np.allclose(probs_a, probs_b, atol=1e-9)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_embed_code_rejects_bad_batch_size(self, small_model, size):
+        model, records, vocab = small_model
+        with pytest.raises(EvalError, match=f"batch_size {size}"):
+            embed_code(model, records[:4], vocab, batch_size=size)
+
     def test_empty_records_rejected(self, small_model):
         model, _, vocab = small_model
         with pytest.raises(EvalError):

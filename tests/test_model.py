@@ -42,12 +42,29 @@ class TestInit:
         assert list(code_only.params) == \
             [n for n in full.params if n.startswith(CODE_SIDE)]
         for name, p in code_only.params.items():
-            if name.startswith("code."):  # drawn before the text encoder
-                assert np.array_equal(p.data, full.params[name].data)
+            assert np.array_equal(p.data, full.params[name].data), name
         code_only.encode_batch([seq([2])], "code")
         with pytest.raises(ModelError, match="no text encoder"):
             code_only.encode_batch([seq([2], "text")], "text")
         assert code_only.text_invocations == 0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_code_side_independent_of_text_side(self, seed):
+        code_only = DualEncoderModel(tiny_config(), None, seed=seed)
+        for text in (tiny_config(), tiny_config(vocab_size=7),
+                     tiny_config(vocab_size=500, embed_dim=16, num_blocks=3)):
+            full = DualEncoderModel(tiny_config(), text, seed=seed)
+            for name, p in code_only.params.items():
+                assert np.array_equal(p.data, full.params[name].data), name
+
+    def test_parameters_differ_by_name_and_seed(self):
+        a, b = make_model(0), make_model(1)
+        assert not np.array_equal(a.params["code.embed"].data[:7],
+                                  a.params["text.embed"].data[:7])
+        assert not np.array_equal(a.params["code.block0.head0.wq"].data,
+                                  a.params["code.block0.head0.wk"].data)
+        assert not np.array_equal(a.params["proj.code"].data,
+                                  b.params["proj.code"].data)
 
     def test_code_only_model_has_no_text_head(self):
         code_only = DualEncoderModel(tiny_config(), None)

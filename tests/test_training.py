@@ -188,6 +188,10 @@ class TestConfigAblations:
 
 
 class TestTrainLoop:
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(TrainError, match="no training records"):
+            train([], [], small_config())
+
     def test_missing_comment_rejected(self):
         records = generate_fixture(n=4, seed=1)
         with pytest.raises(TrainError, match="no comment"):
@@ -217,15 +221,34 @@ class TestTrainLoop:
         result, _ = train(records, [], small_config(fine_tuning_only=True))
         assert result.model.text_invocations == 0
 
-    def test_fine_tuning_only_leaves_text_side_at_init(self):
-        cfg = small_config(fine_tuning_only=True)
-        result, _ = train(small_records(), [], cfg)
-        fresh = DualEncoderModel(result.model.code_config,
-                                 result.model.text_config, seed=cfg.seed)
-        text_side = [n for n in fresh.params if n.startswith("text.")]
-        for name in text_side + ["proj.text", "logit_scale"]:
-            assert np.array_equal(result.model.params[name].data,
-                                  fresh.params[name].data), name
+    def test_fine_tuning_only_builds_no_text_side(self, monkeypatch,
+                                                  tmp_path):
+        vocab_calls = []
+        optimizers = []
+
+        def counting_build_vocab(records, modality, max_size):
+            vocab_calls.append(modality)
+            return build_vocab(records, modality, max_size)
+
+        class RecordingAdam(AdamOptimizer):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                optimizers.append(self)
+
+        monkeypatch.setattr(training, "build_vocab", counting_build_vocab)
+        monkeypatch.setattr(training, "AdamOptimizer", RecordingAdam)
+        log = tmp_path / "loss.csv"
+        result, _ = train(small_records(), [],
+                          small_config(fine_tuning_only=True),
+                          log_path=str(log))
+        assert vocab_calls == ["code"]
+        assert result.model.text_config is None
+        assert all(n.startswith(CODE_SIDE) for n in result.model.params)
+        assert set(optimizers[0].m) == set(optimizers[0].v) == \
+            set(result.model.params)
+        gammas = [line.rsplit(",", 1)[1]
+                  for line in log.read_text().splitlines()[1:]]
+        assert gammas and set(gammas) == {"14"}
 
     @pytest.mark.parametrize("weights,passes,augments", [
         (LossWeights(), 2, 2),
@@ -333,9 +356,11 @@ class TestFineTuningEquivalence:
         cfg = small_config(fine_tuning_only=True)
         result, _ = train(records, [], cfg)
         oracle = self.manual_loop(records, cfg)
-        for name in oracle.params:
-            assert np.allclose(result.model.params[name].data,
-                               oracle.params[name].data, atol=1e-12), name
+        assert list(result.model.params) == \
+            [n for n in oracle.params if n.startswith(CODE_SIDE)]
+        for name, p in result.model.params.items():
+            assert np.allclose(p.data, oracle.params[name].data,
+                               atol=1e-12), name
 
 
 class TestCheckpoint:
