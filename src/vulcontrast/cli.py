@@ -83,15 +83,10 @@ def _build_train_config(args):
     values = {k: _parse_config_value(k, v) for k, v in values.items()}
     if args.seed is not None:
         values["seed"] = args.seed
-    if args.fine_tuning_only:
-        values["fine_tuning_only"] = True
-    for flag, weight in (("disable_aug_alignment", "clip_aug"),
-                         ("disable_consistency", "consistency")):
-        if getattr(args, flag):
-            values[weight] = 0.0
     weights = LossWeights(**{f.name: values.pop(f.name)
                              for f in fields(LossWeights) if f.name in values})
-    return TrainConfig(weights=weights, **values)
+    return TrainConfig(weights=weights,
+                       fine_tuning_only=args.fine_tuning_only, **values)
 
 
 def _load_for_inference(args):
@@ -119,10 +114,11 @@ def _cmd_split(args):
     records = load_jsonl(args.input)
     try:
         fractions = [float(f) for f in args.fractions.split("/")]
-    except ValueError:
-        raise DatasetError("--fractions expects numbers joined by '/', got "
-                           f"{args.fractions!r}") from None
-    train_r, val_r, test_r = stratified_split(records, fractions, args.seed)
+        train_r, val_r, test_r = stratified_split(records, fractions,
+                                                  args.seed)
+    except ValueError as exc:
+        raise DatasetError(f"--fractions {args.fractions!r} --seed "
+                           f"{args.seed}: {exc}") from None
     for name, part in (("train", train_r), ("val", val_r), ("test", test_r)):
         save_jsonl(part, f"{args.output_prefix}.{name}.jsonl")
     print(f"wrote {len(train_r)}/{len(val_r)}/{len(test_r)} records to "
@@ -167,8 +163,9 @@ def _cmd_train(args):
     val_records = load_jsonl(args.val) if args.val else []
     if any(r.comment is None for r in train_records):
         train_records, _ = attach_comments(train_records, ProviderConfig())
-    result, log_rows = train(train_records, val_records, config,
-                             log_path=args.loss_log)
+    result, log_rows = train(train_records, val_records, config)
+    if args.loss_log:
+        write_loss_log(log_rows, args.loss_log)
     if args.checkpoint:
         save_checkpoint(result.model, args.checkpoint, step=len(log_rows),
                         code_vocab=result.code_vocab)
@@ -258,7 +255,11 @@ def _cmd_fn_analysis(args):
 
 
 def _cmd_make_fixture(args):
-    records = generate_fixture(n=args.count, seed=args.seed)
+    try:
+        records = generate_fixture(n=args.count, seed=args.seed)
+    except DatasetError as exc:
+        raise DatasetError(f"--count {args.count} --seed {args.seed}: "
+                           f"{exc}") from None
     save_jsonl(records, args.output)
     return EXIT_OK
 
@@ -310,8 +311,6 @@ def build_parser():
     p.add_argument("--loss-log")
     p.add_argument("--output")
     p.add_argument("--fine-tuning-only", action="store_true")
-    p.add_argument("--disable-aug-alignment", action="store_true")
-    p.add_argument("--disable-consistency", action="store_true")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="code-only evaluation")

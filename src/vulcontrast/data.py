@@ -23,6 +23,14 @@ class DatasetError(ValueError):
     pass
 
 
+def seeded_rng(seed):
+    """`np.random.default_rng(seed)`, raising DatasetError for a bad seed."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"seed {seed!r} is not usable: {exc}") from None
+
+
 @dataclass
 class FunctionRecord:
     id: str
@@ -234,19 +242,19 @@ def _overall_targets(n, fractions):
 
 def stratified_split(records, fractions, seed):
     if len(fractions) != 3:
-        raise ValueError("stratified_split: exactly three fractions required")
+        raise DatasetError(f"fractions {fractions}: exactly three required")
     if any(f <= 0 for f in fractions):
-        raise ValueError("stratified_split: fractions must be positive")
+        raise DatasetError(f"fractions {fractions}: each must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("stratified_split: fractions must sum to 1")
+        raise DatasetError(f"fractions {fractions}: must sum to 1")
 
     n = len(records)
     targets = _overall_targets(n, fractions)
     if n > 0 and any(t == 0 for t in targets):
-        raise ValueError(
-            "stratified_split: a split with positive fraction would be empty")
+        raise DatasetError(
+            f"fractions {fractions}: a split of {n} records would be empty")
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     by_label = {0: [], 1: []}
     for rec in records:
         by_label[rec.label].append(rec)

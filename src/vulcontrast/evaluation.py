@@ -119,15 +119,14 @@ def predict(model, records, code_vocab, threshold=DEFAULT_THRESHOLD,
         raise EvalError("predict: threshold must lie in (0, 1)")
     projected = embed_code(model, records, code_vocab, max_input_length,
                            batch_size)
-    preds = []
     with ad.no_grad():
-        for i in range(0, len(records), batch_size):
-            _, probs = model.classify(ad.constant(projected[i:i + batch_size]))
-            for rec, p in zip(records[i:i + batch_size], probs.data[:, 0]):
-                p = float(p)
-                preds.append(Prediction(
-                    id=rec.id, probability=p, predicted=int(p > threshold),
-                    gold=rec.label, cwe=list(rec.cwe or [])))
+        _, probs = model.classify(ad.constant(projected))
+    preds = []
+    for rec, p in zip(records, probs.data[:, 0]):
+        p = float(p)
+        preds.append(Prediction(
+            id=rec.id, probability=p, predicted=int(p > threshold),
+            gold=rec.label, cwe=list(rec.cwe or [])))
     return PredictionSet(method=method, threshold=threshold,
                          predictions=preds)
 

@@ -7,9 +7,7 @@ digit-bearing distractor noise so the surface form varies per function.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .data import DatasetError, FunctionRecord
+from .data import DatasetError, FunctionRecord, seeded_rng
 
 UNSAFE_PATTERN = ("execraw", "(", "userbuf")
 NOISE_FRAC = 0.3
@@ -51,7 +49,7 @@ def generate_fixture(n=400, seed=13):
     CWE tag."""
     if n < 1:
         raise DatasetError(f"fixture count {n} must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     records = []
     for i in range(n):
         label = int(i % 2)

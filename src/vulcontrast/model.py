@@ -170,8 +170,6 @@ class DualEncoderModel:
         rows = [self._encode_one(tag, cfg, seq.tokens) for seq in sequences]
         if modality == "text":
             self.text_invocations += 1
-        if len(rows) == 1:
-            return rows[0]
         return ad.concat_rows(rows)
 
     def project(self, hidden, modality):

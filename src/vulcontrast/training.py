@@ -8,7 +8,7 @@ import math
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import InitVar, dataclass, field, asdict
 
 import numpy as np
 
@@ -51,10 +51,10 @@ class TrainConfig:
     ff_dim: int = 128
     proj_dim: int = 32
     vocab_size: int = 2048
-    fine_tuning_only: bool = False   # shorthand for zero contrastive weights
+    fine_tuning_only: InitVar[bool] = False  # zeroes contrastive weights
     select_best_f1: bool = True
 
-    def __post_init__(self):
+    def __post_init__(self, fine_tuning_only):
         if self.batch_size < 1 or self.epochs < 1:
             raise TrainError(f"invalid training config: {self}")
         if self.seed < 0:
@@ -67,7 +67,7 @@ class TrainConfig:
                              "finite and non-negative")
         if not 0.0 <= self.alpha <= 1.0:
             raise TrainError(f"alpha {self.alpha} must lie in [0, 1]")
-        if self.fine_tuning_only:
+        if fine_tuning_only:
             self.weights = LossWeights(0.0, 0.0, 0.0,
                                        self.weights.classification)
 
@@ -147,21 +147,20 @@ def _batches(indices, batch_size):
         yield indices[i:i + batch_size]
 
 
-def train(records, validation, config, log_path=None, progress=None):
+def train(records, validation, config, progress=None):
     """Train the dual-encoder model; returns the final model plus the
     best-validation-F1 parameter snapshot and per-epoch logs."""
     from .evaluation import predict, compute_metrics
 
-    if not records:
-        raise TrainError("no training records")
-    for rec in records:
-        if rec.comment is None:
-            raise TrainError(f"record {rec.id!r} has no comment; "
-                             "run attach_comments first")
-
     w = config.weights
     reads_text = max(w.clip_orig, w.consistency) > 0
     reads_aug = max(w.clip_aug, w.consistency) > 0
+    if not records:
+        raise TrainError("no training records")
+    uncommented = [r.id for r in records if r.comment is None]
+    if uncommented and (reads_text or reads_aug):
+        raise TrainError(f"record {uncommented[0]!r} has no comment; "
+                         "run attach_comments first")
     vocabs = {"code": build_vocab(records, "code", config.vocab_size)}
     tokens = {"code": [tokenize(r.code, "code") for r in records]}
     text_config = None  # no weighted term reads text: no text side at all
@@ -236,9 +235,6 @@ def train(records, validation, config, log_path=None, progress=None):
         epoch_start = len(log_rows)
         if progress:
             progress(epoch, epoch_logs[-1])
-
-    if log_path:
-        write_loss_log(log_rows, log_path)
 
     if config.select_best_f1 and best_params is not None:
         for k, p in model.params.items():

@@ -77,6 +77,13 @@ class TestFixtureAndStats:
         assert f"fixture count {count}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "fx.jsonl"
+        assert run(["make-fixture", "--seed", "-1",
+                    "--output", str(out)]) == EXIT_CONTRACT
+        assert "--seed -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSplit:
     def test_partition(self, workdir):
@@ -99,6 +106,19 @@ class TestSplit:
             == EXIT_CONTRACT
         err = capsys.readouterr().err
         assert "--fractions" in err and "'a/b/c'" in err
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--fractions", "0.5/0.5"], "--fractions '0.5/0.5'"),
+        (["--fractions", "0.9/0.2/-0.1"], "--fractions '0.9/0.2/-0.1'"),
+        (["--fractions", "0.5/0.3/0.3"], "--fractions '0.5/0.3/0.3'"),
+        (["--seed", "-1"], "--seed -1")])
+    def test_rejected_split_names_the_flag(self, workdir, capsys, flags,
+                                           named):
+        assert run(["split", "--input", str(workdir / "corpus.jsonl"),
+                    *flags, "--output-prefix", str(workdir / "bad")]) \
+            == EXIT_CONTRACT
+        assert named in capsys.readouterr().err
+        assert not list(workdir.glob("bad.*"))
 
 
 class TestComment:
@@ -127,8 +147,10 @@ class TestTrain:
     def test_summary_provenance(self, workdir):
         obj = json.loads((workdir / "train.json").read_text())
         assert obj["seed"] == 5
-        assert obj["config"]["fine_tuning_only"] is True
-        assert obj["config"]["weights"]["clip_orig"] == 0.0
+        assert "fine_tuning_only" not in obj["config"]
+        assert obj["config"]["weights"] == {
+            "clip_orig": 0.0, "clip_aug": 0.0, "consistency": 0.0,
+            "classification": 1.0}
         assert obj["final_validation"] is not None
 
     def test_checkpoint_files_written(self, workdir):
@@ -172,6 +194,13 @@ class TestTrain:
                     "--config", str(bad)]) == EXIT_CONTRACT
         assert line.split()[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--disable-aug-alignment",
+                                      "--disable-consistency"])
+    def test_removed_ablation_flags_rejected(self, workdir, flag):
+        assert run(["train", "--train",
+                    str(workdir / "train.commented.jsonl"), flag]) \
+            == EXIT_CONTRACT
+
     def test_negative_seed_flag_exits_naming_it(self, workdir, capsys):
         assert run(["train", "--train",
                     str(workdir / "train.commented.jsonl"),
@@ -214,6 +243,7 @@ def flat_config(config):
 
 class TestConfigFile:
     @pytest.mark.parametrize("line", ["fine_tuning_only = ture",
+                                      "select_best_f1 = ture",
                                       "epochs = ten", "alpha = 0.0.5"])
     def test_bad_value_rejected_naming_key(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
@@ -228,19 +258,22 @@ class TestConfigFile:
                            match="epochs repeated on lines 1 and 4"):
             config_from_file(path)
 
-    @pytest.mark.parametrize("flag,weight", [
-        ("--disable-aug-alignment", "clip_aug"),
-        ("--disable-consistency", "consistency")])
-    def test_ablation_flag_zeroes_its_weight_over_file_value(self, tmp_path,
-                                                             flag, weight):
+    def test_fine_tuning_only_is_not_a_config_key(self, tmp_path):
+        path = tmp_path / "ft.cfg"
+        path.write_text("fine_tuning_only = true\nclip_orig = 0.5\n")
+        with pytest.raises(DatasetError, match="fine_tuning_only"):
+            config_from_file(path)
+
+    def test_fine_tuning_flag_zeroes_contrastive_weights_over_file(
+            self, tmp_path):
         path = tmp_path / "weights.cfg"
-        path.write_text(f"{weight} = 0.3\n")
-        assert getattr(config_from_file(path).weights, weight) == 0.3
-        flagged = flat_config(config_from_file(path, flag))
-        assert flagged[weight] == 0.0
-        others = flat_config(TrainConfig())
-        others[weight] = 0.0
-        assert flagged == others
+        path.write_text("clip_orig = 0.5\nclassification = 2\n")
+        assert config_from_file(path).weights.clip_orig == 0.5
+        flagged = flat_config(config_from_file(path, "--fine-tuning-only"))
+        expected = flat_config(TrainConfig())
+        expected.update(clip_orig=0.0, clip_aug=0.0, consistency=0.0,
+                        classification=2.0)
+        assert flagged == expected
 
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vulcontrast.data import (DatasetError, FunctionRecord, build_vocab,
                               dataset_stats, encode, load_jsonl, save_jsonl,
                               stratified_split, tokenize, UNK_ID, PAD_ID)
+from vulcontrast.fixtures import generate_fixture
 
 
 def rec(i, label, code="int f ( ) { return 0 ; }", **kw):
@@ -220,6 +222,22 @@ class TestSplit:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError):
             stratified_split([rec(0, 0)], [0.7, 0.1, 0.1], 0)
+
+    @pytest.mark.parametrize("n,fractions,seed,named", [
+        (4, [0.5, 0.5], 0, "fractions [0.5, 0.5]"),
+        (4, [0.9, 0.2, -0.1], 0, "fractions [0.9, 0.2, -0.1]"),
+        (4, [0.5, 0.3, 0.3], 0, "fractions [0.5, 0.3, 0.3]"),
+        (1, [0.8, 0.1, 0.1], 0, "split of 1 records would be empty"),
+        (4, [0.5, 0.25, 0.25], -1, "seed -1")])
+    def test_bad_input_raises_dataset_error_naming_it(self, n, fractions,
+                                                       seed, named):
+        records = [rec(i, i % 2) for i in range(n)]
+        with pytest.raises(DatasetError, match=re.escape(named)):
+            stratified_split(records, fractions, seed)
+
+    def test_fixture_seed_rejected_naming_it(self):
+        with pytest.raises(DatasetError, match="seed -1"):
+            generate_fixture(n=4, seed=-1)
 
     def test_per_label_proportions_within_one(self):
         records = [rec(i, 0) for i in range(50)] + \

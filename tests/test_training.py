@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -148,6 +149,8 @@ class TestConfigAblations:
         w = cfg.weights
         assert (w.clip_orig, w.clip_aug, w.consistency) == (0.0, 0.0, 0.0)
         assert w.classification == 1.0
+        assert "fine_tuning_only" not in asdict(cfg)
+        assert cfg == small_config(weights=LossWeights(0.0, 0.0, 0.0))
 
     def test_disable_aug_alignment(self):
         cfg = small_config(epochs=1, weights=LossWeights(clip_aug=0.0))
@@ -192,10 +195,26 @@ class TestTrainLoop:
         with pytest.raises(TrainError, match="no training records"):
             train([], [], small_config())
 
-    def test_missing_comment_rejected(self):
-        records = generate_fixture(n=4, seed=1)
-        with pytest.raises(TrainError, match="no comment"):
-            train(records, [], small_config())
+    def test_missing_comment_rejected(self, monkeypatch):
+        vocab_calls = []
+        monkeypatch.setattr(training, "build_vocab",
+                            lambda *args: vocab_calls.append(args))
+        records = small_records(n=4)
+        records[2].comment = None
+        for weights in (LossWeights(), LossWeights(1.0, 0.0, 0.0),
+                        LossWeights(0.0, 1.0, 0.0),
+                        LossWeights(0.0, 0.0, 1.0)):
+            with pytest.raises(TrainError, match="'fx-0002' has no comment"):
+                train(records, [], small_config(weights=weights))
+        assert vocab_calls == []
+
+    def test_fine_tuning_only_needs_no_comments(self):
+        commented = small_records()
+        bare = generate_fixture(n=12, seed=5)
+        assert all(r.comment is None for r in bare)
+        cfg = small_config(fine_tuning_only=True)
+        _, rows = train(bare, [], cfg)
+        assert rows == train(commented, [], cfg)[1]
 
     def test_deterministic_given_seed(self):
         records = small_records()
@@ -238,9 +257,9 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "build_vocab", counting_build_vocab)
         monkeypatch.setattr(training, "AdamOptimizer", RecordingAdam)
         log = tmp_path / "loss.csv"
-        result, _ = train(small_records(), [],
-                          small_config(fine_tuning_only=True),
-                          log_path=str(log))
+        result, rows = train(small_records(), [],
+                             small_config(fine_tuning_only=True))
+        write_loss_log(rows, str(log))
         assert vocab_calls == ["code"]
         assert result.model.text_config is None
         assert all(n.startswith(CODE_SIDE) for n in result.model.params)
@@ -298,7 +317,8 @@ class TestTrainLoop:
     def test_loss_log_written(self, tmp_path):
         records = small_records(n=8)
         path = tmp_path / "loss.csv"
-        train(records, [], small_config(epochs=1), log_path=str(path))
+        _, rows = train(records, [], small_config(epochs=1))
+        write_loss_log(rows, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == ("step,clip_orig,clip_aug,consistency,"
                             "classification,total,gamma")
