@@ -15,10 +15,9 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from scipy.special import erf
 
-SQRT2 = float(np.sqrt(2.0))
-INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+GELU_SCALE = float(np.sqrt(2.0 / np.pi))
+GELU_CUBIC = 0.044715
 
 
 class ShapeError(ValueError):
@@ -316,13 +315,16 @@ def sigmoid(a):
 
 
 def gelu(a):
+    """Tanh-form GELU (Hendrycks & Gimpel 2016); the cube is multiplied
+    out, as numpy computes `x ** 3` one element at a time."""
     x = a.data
-    phi = 0.5 * (1.0 + erf(x / SQRT2))
-    y = x * phi
+    x2 = x * x
+    t = np.tanh(GELU_SCALE * (x + GELU_CUBIC * x2 * x))
+    y = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        pdf = INV_SQRT2PI * np.exp(-0.5 * x ** 2)
-        _accum(a, g * (phi + x * pdf))
+        du = GELU_SCALE * (1.0 + 3.0 * GELU_CUBIC * x2)
+        _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du))
 
     return _node(y, "gelu", (a,), backward)
 

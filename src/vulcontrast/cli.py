@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict, fields
@@ -11,12 +12,13 @@ from . import __version__
 from .augment import augment_tokens, keyed_rng
 from .comments import ProviderConfig, attach_comments, CommentError
 from .data import (DatasetError, Vocabulary, dataset_stats, load_jsonl,
-                   save_jsonl, stratified_split, tokenize)
+                   read_lines, save_jsonl, stratified_split, tokenize)
 from .evaluation import (EvalError, PredictionSet, Prediction, compute_metrics,
                          embed_code, false_negative_analysis, latency_bench,
                          pca_project, predict)
 from .fixtures import generate_fixture
-from .losses import LossWeights
+from .losses import LossError, LossWeights
+from .model import ModelError
 from .training import (CheckpointError, TrainConfig, TrainError,
                        load_checkpoint, save_checkpoint, train,
                        write_loss_log)
@@ -35,25 +37,34 @@ def _emit(obj, output):
         print(text)
 
 
+@contextlib.contextmanager
+def _flags(error, given):
+    """Re-raise a ValueError from the library as `error`, prefixed with
+    the flags and values that led to it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(f"{given}: {exc}") from None
+
+
 def _read_config_file(path):
     """Flat key = value file; '#' starts a comment; each key appears once."""
     values = {}
     line_of_key = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DatasetError(f"{path}: bad config line {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key in line_of_key:
-                raise DatasetError(
-                    f"{path}: config key {key} repeated on lines "
-                    f"{line_of_key[key]} and {lineno}")
-            line_of_key[key] = lineno
-            values[key] = value.strip('"')
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DatasetError(f"{path}: bad config line {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key in line_of_key:
+            raise DatasetError(
+                f"{path}: config key {key} repeated on lines "
+                f"{line_of_key[key]} and {lineno}")
+        line_of_key[key] = lineno
+        values[key] = value.strip('"')
     return values
 
 
@@ -112,13 +123,11 @@ def _cmd_stats(args):
 
 def _cmd_split(args):
     records = load_jsonl(args.input)
-    try:
+    with _flags(DatasetError,
+                f"--fractions {args.fractions!r} --seed {args.seed}"):
         fractions = [float(f) for f in args.fractions.split("/")]
         train_r, val_r, test_r = stratified_split(records, fractions,
                                                   args.seed)
-    except ValueError as exc:
-        raise DatasetError(f"--fractions {args.fractions!r} --seed "
-                           f"{args.seed}: {exc}") from None
     for name, part in (("train", train_r), ("val", val_r), ("test", test_r)):
         save_jsonl(part, f"{args.output_prefix}.{name}.jsonl")
     print(f"wrote {len(train_r)}/{len(val_r)}/{len(test_r)} records to "
@@ -128,9 +137,12 @@ def _cmd_split(args):
 
 def _cmd_comment(args):
     records = load_jsonl(args.input)
-    config = ProviderConfig(
-        mode=args.mode, endpoint=args.endpoint, model=args.model,
-        timeout=args.timeout, max_retries=args.retries)
+    with _flags(CommentError, f"--mode {args.mode} --endpoint "
+                f"{args.endpoint!r} --model {args.model!r} --timeout "
+                f"{args.timeout} --retries {args.retries}"):
+        config = ProviderConfig(
+            mode=args.mode, endpoint=args.endpoint, model=args.model,
+            timeout=args.timeout, max_retries=args.retries)
     out, errors = attach_comments(records, config)
     save_jsonl(out, args.output)
     for rid, msg in errors:
@@ -141,16 +153,17 @@ def _cmd_comment(args):
 def _cmd_augment(args):
     records = load_jsonl(args.input)
     rows = []
-    for rec in records:
-        code_aug = augment_tokens(tokenize(rec.code, "code"), args.alpha,
-                                  keyed_rng(args.seed, rec.id, "code", 0))
-        text_aug = augment_tokens(tokenize(rec.comment or "", "text"),
-                                  args.alpha,
-                                  keyed_rng(args.seed, rec.id, "text", 0))
-        obj = rec.to_json_obj()
-        obj["code_aug"] = " ".join(code_aug)
-        obj["comment_aug"] = " ".join(text_aug)
-        rows.append(obj)
+    with _flags(DatasetError, f"--alpha {args.alpha}"):
+        for rec in records:
+            code_aug = augment_tokens(tokenize(rec.code, "code"), args.alpha,
+                                      keyed_rng(args.seed, rec.id, "code", 0))
+            text_aug = augment_tokens(tokenize(rec.comment or "", "text"),
+                                      args.alpha,
+                                      keyed_rng(args.seed, rec.id, "text", 0))
+            obj = rec.to_json_obj()
+            obj["code_aug"] = " ".join(code_aug)
+            obj["comment_aug"] = " ".join(text_aug)
+            rows.append(obj)
     with open(args.output, "w", encoding="utf-8") as fh:
         for obj in rows:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -161,7 +174,7 @@ def _cmd_train(args):
     config = _build_train_config(args)
     train_records = load_jsonl(args.train)
     val_records = load_jsonl(args.val) if args.val else []
-    if any(r.comment is None for r in train_records):
+    if config.weights.reads_comments:
         train_records, _ = attach_comments(train_records, ProviderConfig())
     result, log_rows = train(train_records, val_records, config)
     if args.loss_log:
@@ -255,11 +268,8 @@ def _cmd_fn_analysis(args):
 
 
 def _cmd_make_fixture(args):
-    try:
+    with _flags(DatasetError, f"--count {args.count} --seed {args.seed}"):
         records = generate_fixture(n=args.count, seed=args.seed)
-    except DatasetError as exc:
-        raise DatasetError(f"--count {args.count} --seed {args.seed}: "
-                           f"{exc}") from None
     save_jsonl(records, args.output)
     return EXIT_OK
 
@@ -372,7 +382,7 @@ def run(argv=None):
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (DatasetError, EvalError, TrainError, CheckpointError,
-            CommentError, ValueError) as exc:
+            CommentError, ModelError, LossError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

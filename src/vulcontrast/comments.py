@@ -3,6 +3,7 @@ generate / review / revise client for a chat-completions endpoint."""
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -80,6 +81,9 @@ class ProviderConfig:
             raise ValueError(f"unknown provider mode {self.mode!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout {self.timeout} must be finite and "
+                             "positive")
         if self.mode == "remote" and (not self.endpoint or not self.model):
             raise ValueError("remote mode requires endpoint and model")
 

@@ -100,38 +100,47 @@ class DatasetStats:
         return asdict(self)
 
 
+def read_lines(path):
+    """The lines of the UTF-8 text file at `path`; DatasetError naming the
+    file if it is not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return list(fh)
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_jsonl(path):
     records = []
     # keyed by the id's text, which also seeds its augmentation substreams
     line_of_id = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: malformed JSON on line {lineno}: {exc}")
-            if not isinstance(obj, dict) or "code" not in obj or "label" not in obj:
-                raise DatasetError(
-                    f"{path}: line {lineno} must be an object with code and label")
-            try:
-                records.append(FunctionRecord(
-                    id=obj.get("id", f"line-{lineno}"),
-                    code=obj["code"],
-                    label=obj["label"],
-                    comment=obj.get("comment"),
-                    cwe=obj.get("cwe"),
-                    project=obj.get("project"),
-                ))
-            except DatasetError as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}")
-            rid = str(records[-1].id)
-            if rid in line_of_id:
-                raise DatasetError(
-                    f"{path}: duplicate record id {records[-1].id!r} on lines "
-                    f"{line_of_id[rid]} and {lineno}")
-            line_of_id[rid] = lineno
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: malformed JSON on line {lineno}: {exc}")
+        if not isinstance(obj, dict) or "code" not in obj or "label" not in obj:
+            raise DatasetError(
+                f"{path}: line {lineno} must be an object with code and label")
+        try:
+            records.append(FunctionRecord(
+                id=obj.get("id", f"line-{lineno}"),
+                code=obj["code"],
+                label=obj["label"],
+                comment=obj.get("comment"),
+                cwe=obj.get("cwe"),
+                project=obj.get("project"),
+            ))
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: line {lineno}: {exc}")
+        rid = str(records[-1].id)
+        if rid in line_of_id:
+            raise DatasetError(
+                f"{path}: duplicate record id {records[-1].id!r} on lines "
+                f"{line_of_id[rid]} and {lineno}")
+        line_of_id[rid] = lineno
     return records
 
 

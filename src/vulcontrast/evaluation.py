@@ -96,6 +96,8 @@ def embed_code(model, records, vocab, max_input_length=None, batch_size=32):
     `batch_size` without building a graph; the text encoder is never
     touched. Code is cut to `max_input_length` tokens, by default the
     model's own."""
+    if not records:
+        raise EvalError("embed_code: empty record list")
     if batch_size < 1:
         raise EvalError(f"embed_code: batch_size {batch_size} must be >= 1")
     if max_input_length is None:
@@ -113,8 +115,6 @@ def embed_code(model, records, vocab, max_input_length=None, batch_size=32):
 def predict(model, records, code_vocab, threshold=DEFAULT_THRESHOLD,
             max_input_length=None, method="vulcontrast", batch_size=32):
     """Code-only inference; the text encoder is never touched."""
-    if not records:
-        raise EvalError("predict: empty record list")
     if not 0.0 < threshold < 1.0:
         raise EvalError("predict: threshold must lie in (0, 1)")
     projected = embed_code(model, records, code_vocab, max_input_length,
@@ -184,23 +184,20 @@ def pca_project(embeddings, labels, ids=None):
 
 # ----------------------------------------------------------------- latency
 
-def latency_bench(model, records, code_vocab, repetitions=3, batch_size=1,
-                  max_input_length=None):
+def latency_bench(model, records, code_vocab, repetitions=3, batch_size=1):
     if repetitions < 3:
         raise EvalError("latency_bench: repetitions must be >= 3")
     if batch_size < 1:
         raise EvalError(f"latency_bench: batch_size {batch_size} must be >= 1")
     counter_before = model.text_invocations
     # warm-up
-    predict(model, records[:batch_size], code_vocab,
-            max_input_length=max_input_length, batch_size=batch_size)
+    predict(model, records[:batch_size], code_vocab, batch_size=batch_size)
     per_sample = []
     for _ in range(repetitions):
         for i in range(0, len(records), batch_size):
             chunk = records[i:i + batch_size]
             t0 = time.perf_counter()
-            predict(model, chunk, code_vocab,
-                    max_input_length=max_input_length, batch_size=batch_size)
+            predict(model, chunk, code_vocab, batch_size=batch_size)
             dt = time.perf_counter() - t0
             per_sample.extend([dt / len(chunk)] * len(chunk))
     if model.text_invocations != counter_before:

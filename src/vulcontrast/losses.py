@@ -32,6 +32,12 @@ class LossWeights:
                 raise LossError(f"loss weight {f.name} = {value!r} must be "
                                 "finite and non-negative")
 
+    @property
+    def reads_comments(self):
+        """Whether a positively weighted term reads a text view: every
+        term but classification does."""
+        return max(self.clip_orig, self.clip_aug, self.consistency) > 0
+
 
 @dataclass
 class LossBreakdown:

@@ -19,7 +19,7 @@ from .losses import LossWeights, similarity_matrix, total_loss
 from .model import (CODE_SIDE, LOGIT_SCALE_INIT, DualEncoderModel,
                     EncoderConfig)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -65,6 +65,8 @@ class TrainConfig:
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise TrainError(f"weight_decay {self.weight_decay!r} must be "
                              "finite and non-negative")
+        if self.vocab_size < 3:
+            raise TrainError(f"vocab_size {self.vocab_size} must be >= 3")
         if not 0.0 <= self.alpha <= 1.0:
             raise TrainError(f"alpha {self.alpha} must lie in [0, 1]")
         if fine_tuning_only:
@@ -158,13 +160,13 @@ def train(records, validation, config, progress=None):
     if not records:
         raise TrainError("no training records")
     uncommented = [r.id for r in records if r.comment is None]
-    if uncommented and (reads_text or reads_aug):
+    if uncommented and w.reads_comments:
         raise TrainError(f"record {uncommented[0]!r} has no comment; "
                          "run attach_comments first")
     vocabs = {"code": build_vocab(records, "code", config.vocab_size)}
     tokens = {"code": [tokenize(r.code, "code") for r in records]}
     text_config = None  # no weighted term reads text: no text side at all
-    if reads_text or reads_aug:
+    if w.reads_comments:
         vocabs["text"] = build_vocab(records, "text", config.vocab_size)
         tokens["text"] = [tokenize(r.comment, "text") for r in records]
         text_config = config.encoder_config(vocabs["text"].size)

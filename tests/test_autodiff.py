@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,18 @@ class TestForward:
     def test_non_finite_rejected(self):
         with pytest.raises(ad.NonFiniteError):
             ad.exp(p([[1000.0]]))
+
+    def test_gelu_is_the_tanh_form(self):
+        x = np.linspace(-8.0, 8.0, 1601).reshape(1, -1)
+        want = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
+                                        * (x + 0.044715 * x ** 3)))
+        assert np.max(np.abs(ad.gelu(p(x)).data - want)) < 1e-12
+
+    def test_gelu_within_5e_4_of_the_erf_form(self):
+        x = np.linspace(-8.0, 8.0, 1601)
+        exact = [v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x]
+        got = ad.gelu(p(x.reshape(1, -1))).data[0]
+        assert np.max(np.abs(got - exact)) < 5e-4
 
     def test_forward_deterministic(self):
         x = np.random.default_rng(0).normal(size=(4, 4))

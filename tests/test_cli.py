@@ -1,10 +1,13 @@
 import json
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from vulcontrast import cli
 from vulcontrast.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_OK, _CONFIG_TYPES,
                              _build_train_config, build_parser, run)
 from vulcontrast.data import DatasetError, load_jsonl
@@ -126,6 +129,21 @@ class TestComment:
         records = load_jsonl(str(workdir / "train.commented.jsonl"))
         assert all(r.comment for r in records)
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--mode", "remote"], "--mode remote --endpoint None"),
+        (["--mode", "remote", "--endpoint", "http://127.0.0.1:9/v1"],
+         "--model None"),
+        (["--retries", "-1"], "--retries -1"),
+        (["--mode", "remote", "--endpoint", "http://127.0.0.1:9/v1",
+          "--model", "m", "--timeout", "0"], "--timeout 0.0")])
+    def test_bad_provider_flags_exit_naming_them(self, workdir, tmp_path,
+                                                 capsys, flags, named):
+        out = tmp_path / "c.jsonl"
+        assert run(["comment", "--input", str(workdir / "part.val.jsonl"),
+                    "--output", str(out), *flags]) == EXIT_CONTRACT
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAugment:
     def test_views_written(self, workdir):
@@ -141,6 +159,15 @@ class TestAugment:
             orig = r["code"].split()
             aug = r["code_aug"].split()
             assert len(aug) <= len(orig)
+
+    def test_alpha_outside_unit_interval_exits_naming_it(self, workdir,
+                                                         tmp_path, capsys):
+        out = tmp_path / "aug.jsonl"
+        assert run(["augment", "--input", str(workdir / "corpus.jsonl"),
+                    "--output", str(out), "--alpha", "2"]) == EXIT_CONTRACT
+        assert "--alpha 2.0: alpha must lie in [0, 1]" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -184,7 +211,7 @@ class TestTrain:
         "clip_orig = nan", "clip_aug = inf", "consistency = nan",
         "classification = -1", "learning_rate = nan", "learning_rate = inf",
         "learning_rate = 0", "weight_decay = -1", "weight_decay = nan",
-        "seed = -1", "disable_consistency = true"])
+        "seed = -1", "disable_consistency = true", "vocab_size = 2"])
     def test_bad_config_value_exits_naming_it(self, workdir, tmp_path,
                                               capsys, line):
         bad = tmp_path / "bad.cfg"
@@ -215,6 +242,33 @@ class TestTrain:
                     "--checkpoint", str(tmp_path / "m")]) == EXIT_CONTRACT
         assert "no training records" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [empty]
+
+    def test_non_utf8_config_exits_naming_it(self, workdir, tmp_path,
+                                             capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"epochs = 1 # \xff\n")
+        assert run(["train", "--train",
+                    str(workdir / "train.commented.jsonl"),
+                    "--config", str(bad)]) == EXIT_CONTRACT
+        assert f"{bad} is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,comments", [([], True),
+                                                (["--fine-tuning-only"],
+                                                 False)])
+    def test_stub_comments_only_when_text_is_read(
+            self, workdir, tmp_path, monkeypatch, flags, comments):
+        calls = []
+        attach_comments = cli.attach_comments
+
+        def counted(records, config):
+            calls.append(len(records))
+            return attach_comments(records, config)
+
+        monkeypatch.setattr(cli, "attach_comments", counted)
+        assert run(["train", "--train", str(workdir / "part.train.jsonl"),
+                    "--config", str(workdir / "train.cfg"), *flags,
+                    "--output", str(tmp_path / "t.json")]) == EXIT_OK
+        assert calls == ([24] if comments else [])
 
     def test_uncommented_input_gets_stub_comments(self, workdir, tmp_path):
         assert load_jsonl(str(workdir / "part.train.jsonl"))[0].comment \
@@ -424,8 +478,41 @@ class TestExitCodes:
         assert run(["stats", "--input", str(tmp_path / "none.jsonl")]) \
             == EXIT_IO
 
+    def test_non_utf8_input_exits_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"code": "int f() {}", "label": 0}\n\xff\n')
+        assert run(["stats", "--input", str(bad)]) == EXIT_CONTRACT
+        assert f"{bad} is not UTF-8" in capsys.readouterr().err
+
+    def test_bare_value_error_propagates(self, workdir, monkeypatch):
+        def broken(records):
+            raise ValueError("not one of the library's errors")
+
+        monkeypatch.setattr(cli, "dataset_stats", broken)
+        with pytest.raises(ValueError, match="not one of the library's"):
+            run(["stats", "--input", str(workdir / "corpus.jsonl")])
+
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == EXIT_CONTRACT
 
     def test_version_flag(self):
         assert run(["--version"]) == EXIT_OK
+
+
+class TestDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (f"import sys; sys.path.insert(0, {src!r}); "
+                 "import vulcontrast.cli; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             stdout=subprocess.PIPE, text=True).stdout
+        assert out.strip() == "[]"
+
+    def test_pyproject_lists_numpy_and_requests_only(self):
+        tomllib = pytest.importorskip("tomllib")
+        path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        deps = tomllib.loads(path.read_text())["project"]["dependencies"]
+        assert sorted(re.split(r"[<>=!~ ]", d)[0] for d in deps) == \
+            ["numpy", "requests"]

@@ -164,6 +164,12 @@ class TestRemoteProtocol:
         with pytest.raises(ValueError):
             ProviderConfig(mode="remote")
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"),
+                                         float("inf")])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match=f"timeout {timeout}"):
+            ProviderConfig(timeout=timeout)
+
 
 class TestAttachComments:
     def records(self):

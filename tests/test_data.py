@@ -52,6 +52,12 @@ class TestLoadJsonl:
         with pytest.raises(DatasetError, match="line 2"):
             load_jsonl(path)
 
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"code":"x","label":0,"comment":"\xff"}\n')
+        with pytest.raises(DatasetError, match=f"{path} is not UTF-8"):
+            load_jsonl(path)
+
     def test_duplicate_id_names_both_lines(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id":"a","code":"x","label":0}\n'

@@ -152,6 +152,8 @@ class TestPredict:
         model, _, vocab = small_model
         with pytest.raises(EvalError):
             predict(model, [], vocab)
+        with pytest.raises(EvalError, match="empty record list"):
+            embed_code(model, [], vocab)
 
     def test_bad_threshold_rejected(self, small_model):
         model, records, vocab = small_model
@@ -257,8 +259,7 @@ class TextPeekingModel(DualEncoderModel):
 class TestLatency:
     def test_report_shape(self, small_model):
         model, records, vocab = small_model
-        report = latency_bench(model, records[:4], vocab, repetitions=3,
-                               max_input_length=128)
+        report = latency_bench(model, records[:4], vocab, repetitions=3)
         assert report.sample_count == 12
         assert report.batch_size == 1
         assert 0 < report.mean_s
@@ -267,8 +268,7 @@ class TestLatency:
     def test_counter_discipline(self, small_model):
         model, records, vocab = small_model
         before = model.text_invocations
-        latency_bench(model, records[:2], vocab, repetitions=3,
-                      max_input_length=128)
+        latency_bench(model, records[:2], vocab, repetitions=3)
         assert model.text_invocations == before
 
     def test_too_few_repetitions_rejected(self, small_model):
@@ -281,8 +281,7 @@ class TestLatency:
         peeking = TextPeekingModel(model.code_config, model.text_config,
                                    seed=1)
         with pytest.raises(EvalError, match="text encoder"):
-            latency_bench(peeking, records[:2], vocab, repetitions=3,
-                          max_input_length=128)
+            latency_bench(peeking, records[:2], vocab, repetitions=3)
 
 
 def build_fn_universe(region_sizes):

@@ -190,6 +190,15 @@ class TestTotalLoss:
                   + 0.1 * bd.consistency + 1.0 * bd.classification)
         assert abs(bd.total - expect) < 1e-12
 
+    @pytest.mark.parametrize("weights,reads", [
+        (LossWeights(), True), (LossWeights(0.0, 0.0, 0.0, 1.0), False),
+        (LossWeights(1.0, 0.0, 0.0, 0.0), True),
+        (LossWeights(0.0, 1.0, 0.0, 0.0), True),
+        (LossWeights(0.0, 0.0, 1.0, 0.0), True)])
+    def test_reads_comments_iff_a_contrastive_weight_is_positive(
+            self, weights, reads):
+        assert weights.reads_comments is reads
+
     def test_classification_only_reduction(self):
         sim_o, sim_a, z_c, z_ca, z_t, z_ta, probs, labels = random_batch(6)
         w = LossWeights(0.0, 0.0, 0.0, 1.0)

@@ -189,6 +189,10 @@ class TestConfigAblations:
         with pytest.raises(TrainError, match="seed -1"):
             small_config(seed=-1)
 
+    def test_vocabulary_without_room_for_a_token_rejected(self):
+        with pytest.raises(TrainError, match="vocab_size 2 must be >= 3"):
+            small_config(vocab_size=2)
+
 
 class TestTrainLoop:
     def test_empty_training_set_rejected(self):
@@ -432,7 +436,7 @@ class TestCheckpoint:
                          if n.startswith(("code.", "proj.code", "cls."))}
         assert set(manifest) == {"version", "code_config", "seed", "step",
                                  "code_vocab"}
-        assert manifest["version"] == 3
+        assert manifest["version"] == 4
         loaded, _ = load_checkpoint(path)
         assert loaded.text_config is None
         assert not any(n.startswith(("text.", "proj.text", "logit_scale"))
@@ -453,7 +457,7 @@ class TestCheckpoint:
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        for version in (2, 99):
+        for version in (2, 3, 99):
             save_checkpoint(self.make_model(), path)
             self.doctor(path, lambda members, manifest:
                         manifest.update(version=version))
