@@ -44,9 +44,9 @@ def main():
         result, _ = train(train_r, val_r, config)
         elapsed = time.perf_counter() - t0
         preds = predict(result.model, test_r, result.code_vocab)
-        m = compute_metrics(preds).as_percentages()
-        print(f"{name:<20} {m['accuracy']:>7} {m['precision']:>7} "
-              f"{m['recall']:>7} {m['f1']:>7} {elapsed:>6.1f}s")
+        m = compute_metrics(preds).to_json_obj()
+        print(f"{name:<20} {m['accuracy']:>7.2f} {m['precision']:>7.2f} "
+              f"{m['recall']:>7.2f} {m['f1']:>7.2f} {elapsed:>6.1f}s")
 
 
 if __name__ == "__main__":

@@ -127,15 +127,10 @@ def matmul(a, b):
 
 
 def _binary_shapes(a, b, op):
+    """`b` has `a`'s shape, or is a row vector or scalar broadcast over it."""
     sa, sb = a.data.shape, b.data.shape
-    if sa == sb:
-        return None
-    # row-vector broadcast over rows, or scalar broadcast
-    if sb == (1, 1) or (sb[0] == 1 and sb[1] == sa[1]):
-        return "b"
-    if sa == (1, 1) or (sa[0] == 1 and sa[1] == sb[1]):
-        return "a"
-    raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}")
+    if sb not in (sa, (1, sa[1]), (1, 1)):
+        raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}")
 
 
 def _reduce_to(g, shape):

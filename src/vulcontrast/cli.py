@@ -117,7 +117,7 @@ def _load_for_inference(args):
 def _cmd_stats(args):
     records = load_jsonl(args.input)
     stats = dataset_stats(records)
-    _emit({"stats": stats.to_json_obj(), "input": args.input}, args.output)
+    _emit({"stats": asdict(stats), "input": args.input}, args.output)
     return EXIT_OK
 
 

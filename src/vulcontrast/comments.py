@@ -61,12 +61,6 @@ class CommentError(RuntimeError):
     pass
 
 
-class RemoteError(CommentError):
-    def __init__(self, message, status=None):
-        super().__init__(message)
-        self.status = status
-
-
 @dataclass
 class ProviderConfig:
     mode: str = "stub"  # "stub" | "remote"
@@ -126,8 +120,8 @@ def _reply_content(resp):
     except (ValueError, LookupError, TypeError):
         content = None
     if not isinstance(content, str):
-        raise RemoteError(f"chat endpoint returned a malformed body: "
-                          f"{resp.text[:200]!r}", status=200)
+        raise CommentError(f"chat endpoint returned a malformed body: "
+                           f"{resp.text[:200]!r}")
     return content
 
 
@@ -154,14 +148,14 @@ def _post_chat(config, messages):
             if last_status == 200:
                 return _reply_content(resp)
             if 400 <= last_status < 500 and last_status not in RETRYABLE_4XX:
-                raise RemoteError(
+                raise CommentError(
                     f"chat endpoint rejected the request "
-                    f"(HTTP status: {last_status})", status=last_status)
+                    f"(HTTP status: {last_status})")
         if attempt < config.max_retries:
             time.sleep(config.backoff_base * (2 ** attempt))
-    raise RemoteError(
+    raise CommentError(
         f"chat endpoint failed after {config.max_retries + 1} attempts "
-        f"(last HTTP status: {last_status})", status=last_status)
+        f"(last HTTP status: {last_status})")
 
 
 def generate_comment_llm(record, config):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -95,9 +95,6 @@ class DatasetStats:
     avg_tokens: float
     label_counts: dict
     ratio: str
-
-    def to_json_obj(self):
-        return asdict(self)
 
 
 def read_lines(path):

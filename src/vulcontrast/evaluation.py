@@ -45,14 +45,6 @@ class Metrics:
     fn: int
     tn: int
 
-    def as_percentages(self):
-        return {
-            "accuracy": f"{100.0 * self.accuracy:.2f}",
-            "precision": f"{100.0 * self.precision:.2f}",
-            "recall": f"{100.0 * self.recall:.2f}",
-            "f1": f"{100.0 * self.f1:.2f}",
-        }
-
     def to_json_obj(self, method="", dataset="", direction="",
                     threshold=DEFAULT_THRESHOLD):
         return {
@@ -212,10 +204,6 @@ def latency_bench(model, records, code_vocab, repetitions=3, batch_size=1):
 
 
 # ------------------------------------------------------------- FN analysis
-
-REGION_NAMES = ("only_a", "only_b", "only_c", "a_and_b", "a_and_c",
-                "b_and_c", "a_and_b_and_c")
-
 
 def false_negative_analysis(pred_sets, gold_records):
     if len(pred_sets) != 3:

@@ -137,21 +137,16 @@ class EpochLog:
 @dataclass
 class TrainResult:
     model: DualEncoderModel
-    best_model_params: dict
     best_epoch: int
     best_f1: float
     epoch_logs: list
     code_vocab: object
 
 
-def _batches(indices, batch_size):
-    for i in range(0, len(indices), batch_size):
-        yield indices[i:i + batch_size]
-
-
 def train(records, validation, config, progress=None):
-    """Train the dual-encoder model; returns the final model plus the
-    best-validation-F1 parameter snapshot and per-epoch logs."""
+    """Train the dual-encoder model; returns the model (restored to its
+    best-validation-F1 epoch if `select_best_f1`) with per-epoch logs, and
+    the loss-log rows."""
     from .evaluation import predict, compute_metrics
 
     w = config.weights
@@ -197,7 +192,8 @@ def train(records, validation, config, progress=None):
     for epoch in range(config.epochs):
         shuffle_rng = np.random.default_rng([config.seed, epoch, 0xC0DE])
         order = shuffle_rng.permutation(len(records))
-        for batch_idx in _batches(list(order), config.batch_size):
+        for start in range(0, len(order), config.batch_size):
+            batch_idx = order[start:start + config.batch_size]
             step += 1
             z_code = view(batch_idx, "code")
             _, probs = model.classify(z_code)
@@ -242,9 +238,8 @@ def train(records, validation, config, progress=None):
         for k, p in model.params.items():
             p.data[...] = best_params[k]
     return TrainResult(
-        model=model, best_model_params=best_params, best_epoch=best_epoch,
-        best_f1=best_f1, epoch_logs=epoch_logs,
-        code_vocab=vocabs["code"]), log_rows
+        model=model, best_epoch=best_epoch, best_f1=best_f1,
+        epoch_logs=epoch_logs, code_vocab=vocabs["code"]), log_rows
 
 
 def write_loss_log(log_rows, path):

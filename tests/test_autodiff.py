@@ -36,6 +36,13 @@ class TestForward:
         with pytest.raises(ad.ShapeError, match="add"):
             ad.add(p(np.ones((2, 3))), p(np.ones((3, 2))))
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    @pytest.mark.parametrize("left", [(1, 3), (1, 1)])
+    def test_left_operand_broadcast_rejected(self, op, left):
+        # only the right operand may be a row vector or a scalar
+        with pytest.raises(ad.ShapeError, match=op):
+            getattr(ad, op)(p(np.ones(left)), p(np.ones((3, 3))))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ad.NonFiniteError):
             ad.exp(p([[1000.0]]))
@@ -215,6 +222,12 @@ PRIMITIVE_CASES = {
     "add": lambda x, y: ad.sum_all(ad.mul(ad.add(x, y), ad.add(x, y))),
     "sub": lambda x, y: ad.sum_all(ad.mul(ad.sub(x, y), ad.sub(x, y))),
     "mul": lambda x, y: ad.sum_all(ad.mul(x, y)),
+    # a row-vector right operand, as in every bias add
+    "add-row-broadcast": lambda x, y: ad.sum_all(
+        ad.mul(ad.add(x, ad.mean_pool_rows(y)), x)),
+    # a scalar right operand, as in the logit-scale multiply
+    "mul-scalar-broadcast": lambda x, y: ad.sum_all(
+        ad.mul(ad.mul(x, ad.mean_all(y)), x)),
     "scale": lambda x, y: ad.sum_all(ad.scale(ad.mul(x, y), 1.7)),
     "exp": lambda x, y: ad.sum_all(ad.exp(x)),
     "log": lambda x, y: ad.sum_all(ad.log(ad.add(ad.mul(x, x),

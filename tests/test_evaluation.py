@@ -4,7 +4,7 @@ import pytest
 from vulcontrast.comments import ProviderConfig, attach_comments
 from vulcontrast.data import FunctionRecord, build_vocab
 from vulcontrast.evaluation import (EvalError, Prediction, PredictionSet,
-                                    REGION_NAMES, compute_metrics, embed_code,
+                                    compute_metrics, embed_code,
                                     false_negative_analysis, latency_bench,
                                     pca_project, predict)
 from vulcontrast.fixtures import generate_fixture
@@ -28,9 +28,9 @@ class TestMetrics:
     def test_hand_counts(self):
         m = compute_metrics(make_preds(confusion_pairs(50, 10, 20, 20)))
         assert (m.tp, m.fp, m.fn, m.tn) == (50, 10, 20, 20)
-        pct = m.as_percentages()
-        assert pct == {"accuracy": "70.00", "precision": "83.33",
-                       "recall": "71.43", "f1": "76.92"}
+        obj = m.to_json_obj()
+        assert [obj[k] for k in ("accuracy", "precision", "recall", "f1")] \
+            == [70.0, 83.33, 71.43, 76.92]
 
     def test_perfect_predictions(self):
         m = compute_metrics(make_preds(confusion_pairs(3, 0, 0, 3)))
@@ -325,7 +325,8 @@ class TestFnAnalysis:
                      b_and_c=1, a_and_b_and_c=5)
         records, sets = build_fn_universe(sizes)
         out = false_negative_analysis(sets, records)
-        assert set(out.regions) == set(REGION_NAMES)
+        assert set(out.regions) == {"only_a", "only_b", "only_c", "a_and_b",
+                                    "a_and_c", "b_and_c", "a_and_b_and_c"}
         for region, size in sizes.items():
             assert len(out.regions[region]) == size
         # regions partition each method's FN set

@@ -12,6 +12,7 @@ from vulcontrast.augment import augment_tokens
 from vulcontrast.comments import ProviderConfig, attach_comments
 from vulcontrast.data import (TokenSequence, Vocabulary, build_vocab, encode,
                               tokenize)
+from vulcontrast.evaluation import compute_metrics, predict
 from vulcontrast.fixtures import generate_fixture
 from vulcontrast.losses import LossBreakdown, LossWeights, bce_loss
 from vulcontrast.model import (CODE_SIDE, DualEncoderModel, EncoderConfig,
@@ -301,13 +302,14 @@ class TestTrainLoop:
         assert result.model.text_invocations > 0
 
     def test_best_f1_snapshot_tracked(self):
-        records = small_records(n=16)
         val = small_records(n=8, seed=11)
         result, _ = train(val, val, small_config(fine_tuning_only=True,
                                                  select_best_f1=True))
         assert 0.0 <= result.best_f1 <= 1.0
         assert 0 <= result.best_epoch < 2
-        assert result.best_model_params is not None
+        # the returned model is the best epoch's snapshot
+        preds = predict(result.model, val, result.code_vocab)
+        assert compute_metrics(preds).f1 == result.best_f1
 
     def test_progress_called_once_per_epoch_with_its_log(self):
         calls = []
