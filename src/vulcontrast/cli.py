@@ -155,14 +155,15 @@ def _cmd_augment(args):
     rows = []
     with _flags(DatasetError, f"--alpha {args.alpha}"):
         for rec in records:
-            code_aug = augment_tokens(tokenize(rec.code, "code"), args.alpha,
-                                      keyed_rng(args.seed, rec.id, "code", 0))
-            text_aug = augment_tokens(tokenize(rec.comment or "", "text"),
-                                      args.alpha,
-                                      keyed_rng(args.seed, rec.id, "text", 0))
             obj = rec.to_json_obj()
-            obj["code_aug"] = " ".join(code_aug)
-            obj["comment_aug"] = " ".join(text_aug)
+            obj["code_aug"] = " ".join(augment_tokens(
+                tokenize(rec.code, "code"), args.alpha,
+                keyed_rng(args.seed, rec.id, "code", 0)))
+            # like `comment`, written only for a commented record
+            if rec.comment is not None:
+                obj["comment_aug"] = " ".join(augment_tokens(
+                    tokenize(rec.comment, "text"), args.alpha,
+                    keyed_rng(args.seed, rec.id, "text", 0)))
             rows.append(obj)
     with open(args.output, "w", encoding="utf-8") as fh:
         for obj in rows:
@@ -238,18 +239,43 @@ def _cmd_bench_latency(args):
     return EXIT_OK
 
 
+def _prediction_fault(p):
+    """What is wrong with the fields of a loaded prediction entry, if
+    anything."""
+    prob = p.probability
+    if not isinstance(p.id, str):
+        return "id must be a string"
+    if (isinstance(prob, bool) or not isinstance(prob, (int, float))
+            or not 0.0 <= prob <= 1.0):
+        return "probability must be a finite number in [0, 1]"
+    if any(type(v) is not int or v not in (0, 1)
+           for v in (p.predicted, p.gold)):
+        return "predicted and gold must each be the integer 0 or 1"
+    if p.cwe is not None and not (isinstance(p.cwe, list) and all(
+            isinstance(t, str) for t in p.cwe)):
+        return "cwe must be null or a list of strings"
+    return None
+
+
 def _load_prediction_set(path):
     """The prediction set that `eval --predictions` wrote to `path`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
             preds = [Prediction(**p) for p in obj["predictions"]]
-            return PredictionSet(method=obj.get("method", path),
-                                 threshold=obj.get("threshold", 0.5),
-                                 predictions=preds)
+            pred_set = PredictionSet(method=obj.get("method", path),
+                                     threshold=obj.get("threshold", 0.5),
+                                     predictions=preds)
         except (ValueError, KeyError, TypeError) as exc:
             raise EvalError(
                 f"{path} is not a prediction file: {exc!r}") from exc
+    if not isinstance(pred_set.method, str):
+        raise EvalError(f"{path}: method {pred_set.method!r} must be a string")
+    for k, p in enumerate(preds):
+        fault = _prediction_fault(p)
+        if fault:
+            raise EvalError(f"{path}: prediction {k} ({p.id!r}): {fault}")
+    return pred_set
 
 
 def _cmd_fn_analysis(args):

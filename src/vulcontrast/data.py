@@ -41,11 +41,14 @@ class FunctionRecord:
     project: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise DatasetError(f"record id {self.id!r} must be a string")
         if not isinstance(self.code, str) or not self.code:
             raise DatasetError(
                 f"record {self.id!r}: code must be a non-empty string")
-        if self.label not in (0, 1):
-            raise DatasetError(f"record {self.id!r}: label must be 0 or 1")
+        if type(self.label) is not int or self.label not in (0, 1):
+            raise DatasetError(
+                f"record {self.id!r}: label must be the integer 0 or 1")
         for name in ("comment", "project"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise DatasetError(
@@ -109,7 +112,6 @@ def read_lines(path):
 
 def load_jsonl(path):
     records = []
-    # keyed by the id's text, which also seeds its augmentation substreams
     line_of_id = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
@@ -132,10 +134,10 @@ def load_jsonl(path):
             ))
         except DatasetError as exc:
             raise DatasetError(f"{path}: line {lineno}: {exc}")
-        rid = str(records[-1].id)
+        rid = records[-1].id
         if rid in line_of_id:
             raise DatasetError(
-                f"{path}: duplicate record id {records[-1].id!r} on lines "
+                f"{path}: duplicate record id {rid!r} on lines "
                 f"{line_of_id[rid]} and {lineno}")
         line_of_id[rid] = lineno
     return records

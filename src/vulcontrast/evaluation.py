@@ -209,6 +209,11 @@ def false_negative_analysis(pred_sets, gold_records):
     if len(pred_sets) != 3:
         raise EvalError("false_negative_analysis: exactly three methods "
                         "required")
+    methods = [ps.method for ps in pred_sets]
+    repeated = [m for m in methods if methods.count(m) > 1]
+    if repeated:
+        raise EvalError(f"false_negative_analysis: method {repeated[0]!r} "
+                        "names more than one prediction set")
     id_sets = [frozenset(p.id for p in ps.predictions) for ps in pred_sets]
     if len(set(id_sets)) != 1:
         raise EvalError("false_negative_analysis: prediction sets cover "
@@ -229,7 +234,6 @@ def false_negative_analysis(pred_sets, gold_records):
         "b_and_c": (b & c) - a,
         "a_and_b_and_c": a & b & c,
     }
-    methods = [ps.method for ps in pred_sets]
     cwe_table = {}
     for method, fn_set in zip(methods, fns):
         for rid in fn_set:

@@ -189,50 +189,58 @@ def train(records, validation, config, progress=None):
     best_params = None
     step = 0
     epoch_start = 0
-    for epoch in range(config.epochs):
-        shuffle_rng = np.random.default_rng([config.seed, epoch, 0xC0DE])
-        order = shuffle_rng.permutation(len(records))
-        for start in range(0, len(order), config.batch_size):
-            batch_idx = order[start:start + config.batch_size]
-            step += 1
-            z_code = view(batch_idx, "code")
-            _, probs = model.classify(z_code)
-            # built only if a weighted term reads it; else None to total_loss
-            z_code_aug = view(batch_idx, "code", epoch) if reads_aug else None
-            z_text = view(batch_idx, "text") if reads_text else None
-            z_text_aug = view(batch_idx, "text", epoch) if reads_aug else None
-            gamma = (model.logit_scale()
-                     if max(w.clip_orig, w.clip_aug) > 0 else None)
-            sim_o = (similarity_matrix(z_code, z_text, gamma)
-                     if w.clip_orig > 0 else None)
-            sim_a = (similarity_matrix(z_code_aug, z_text_aug, gamma)
-                     if w.clip_aug > 0 else None)
-            loss, breakdown = total_loss(
-                sim_o, sim_a, z_code, z_code_aug, z_text, z_text_aug, probs,
-                [records[i].label for i in batch_idx], w)
-            ad.backward(loss)
-            optimizer.clip_gradients()
-            optimizer.step()
-            with ad.no_grad():
-                log_rows.append((step, breakdown, model.logit_scale().item()
-                                 if text_config else LOGIT_SCALE_INIT))
+    try:
+        for epoch in range(config.epochs):
+            order = np.random.default_rng(
+                [config.seed, epoch, 0xC0DE]).permutation(len(records))
+            for start in range(0, len(order), config.batch_size):
+                batch_idx = order[start:start + config.batch_size]
+                step += 1
+                z_code = view(batch_idx, "code")
+                _, probs = model.classify(z_code)
+                # built only if a weighted term reads it, else None
+                z_code_aug = (view(batch_idx, "code", epoch) if reads_aug
+                              else None)
+                z_text = view(batch_idx, "text") if reads_text else None
+                z_text_aug = (view(batch_idx, "text", epoch) if reads_aug
+                              else None)
+                gamma = (model.logit_scale()
+                         if max(w.clip_orig, w.clip_aug) > 0 else None)
+                sim_o = (similarity_matrix(z_code, z_text, gamma)
+                         if w.clip_orig > 0 else None)
+                sim_a = (similarity_matrix(z_code_aug, z_text_aug, gamma)
+                         if w.clip_aug > 0 else None)
+                loss, breakdown = total_loss(
+                    sim_o, sim_a, z_code, z_code_aug, z_text, z_text_aug,
+                    probs, [records[i].label for i in batch_idx], w)
+                ad.backward(loss)
+                optimizer.clip_gradients()
+                optimizer.step()
+                with ad.no_grad():
+                    scale = (model.logit_scale().item() if text_config
+                             else LOGIT_SCALE_INIT)
+                log_rows.append((step, breakdown, scale))
 
-        val_metrics = None
-        if validation:
-            preds = predict(model, validation, vocabs["code"])
-            val_metrics = compute_metrics(preds)
-            if val_metrics.f1 > best_f1:
-                best_f1 = val_metrics.f1
-                best_epoch = epoch
-                best_params = {k: p.data.copy()
-                               for k, p in model.params.items()}
-        epoch_logs.append(EpochLog(
-            epoch=epoch,
-            steps=log_rows[epoch_start:],
-            validation=val_metrics.__dict__.copy() if val_metrics else None))
-        epoch_start = len(log_rows)
-        if progress:
-            progress(epoch, epoch_logs[-1])
+            val_metrics = None
+            if validation:
+                preds = predict(model, validation, vocabs["code"])
+                val_metrics = compute_metrics(preds)
+                if val_metrics.f1 > best_f1:
+                    best_f1 = val_metrics.f1
+                    best_epoch = epoch
+                    best_params = {k: p.data.copy()
+                                   for k, p in model.params.items()}
+            epoch_logs.append(EpochLog(
+                epoch=epoch,
+                steps=log_rows[epoch_start:],
+                validation=(val_metrics.__dict__.copy() if val_metrics
+                            else None)))
+            epoch_start = len(log_rows)
+            if progress:
+                progress(epoch, epoch_logs[-1])
+    except ad.NonFiniteError as exc:
+        raise TrainError(f"training diverged at epoch {epoch}, step "
+                         f"{step}: {exc}") from exc
 
     if config.select_best_f1 and best_params is not None:
         for k, p in model.params.items():

@@ -61,7 +61,9 @@ class MockChatServer:
 
         self._served = 0
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        # a short poll interval, so that shutdown() returns promptly
         self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.01},
                                        daemon=True)
 
     @property

@@ -160,6 +160,15 @@ class TestAugment:
             aug = r["code_aug"].split()
             assert len(aug) <= len(orig)
 
+    def test_uncommented_record_gets_no_comment_view(self, workdir,
+                                                     tmp_path):
+        out = tmp_path / "aug.jsonl"
+        assert run(["augment", "--input", str(workdir / "part.val.jsonl"),
+                    "--output", str(out)]) == EXIT_OK
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows and all("comment" not in r and "code_aug" in r
+                            and "comment_aug" not in r for r in rows)
+
     def test_alpha_outside_unit_interval_exits_naming_it(self, workdir,
                                                          tmp_path, capsys):
         out = tmp_path / "aug.jsonl"
@@ -251,6 +260,19 @@ class TestTrain:
                     str(workdir / "train.commented.jsonl"),
                     "--config", str(bad)]) == EXIT_CONTRACT
         assert f"{bad} is not UTF-8" in capsys.readouterr().err
+
+    def test_diverging_run_exits_naming_the_step(self, workdir, tmp_path,
+                                                 capsys):
+        config = tmp_path / "diverge.cfg"
+        config.write_text(TRAIN_CONFIG.replace("learning_rate = 0.001",
+                                               "learning_rate = 1e300"))
+        assert run(["train", "--train",
+                    str(workdir / "train.commented.jsonl"),
+                    "--config", str(config), "--fine-tuning-only",
+                    "--checkpoint", str(tmp_path / "m")]) == EXIT_CONTRACT
+        assert re.search(r"training diverged at epoch \d+, step \d+: "
+                         r"non-finite values", capsys.readouterr().err)
+        assert not (tmp_path / "m.npz").exists()
 
     @pytest.mark.parametrize("flags,comments", [([], True),
                                                 (["--fine-tuning-only"],
@@ -471,6 +493,78 @@ class TestFnAnalysis:
                     "--gold", str(workdir / "part.test.jsonl")]) \
             == EXIT_CONTRACT
         assert str(bad) in capsys.readouterr().err
+
+
+def write_predictions(path, gold_path, method, first=None):
+    """A prediction file over the records of `gold_path` that predicts 0
+    for each, with the fields of `first` set on its first entry."""
+    entries = [{"id": r.id, "probability": 0.1, "predicted": 0,
+                "gold": r.label, "cwe": r.cwe or []}
+               for r in load_jsonl(str(gold_path))]
+    entries[0].update(first or {})
+    path.write_text(json.dumps({"method": method, "threshold": 0.5,
+                                "predictions": entries}))
+    return str(path)
+
+
+class TestFnAnalysisInput:
+    def fn_analysis(self, gold, *preds):
+        return run(["fn-analysis", *[a for p in preds for a in ("--pred", p)],
+                    "--gold", str(gold)])
+
+    def test_non_string_gold_id_exits_naming_the_line(self, workdir,
+                                                      tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"id": "a", "code": "int f ( ) ;", "label": 1}\n'
+                        '{"id": ["a"], "code": "int g ( ) ;", "label": 0}\n')
+        preds = [write_predictions(tmp_path / f"{m}.json",
+                                   workdir / "part.test.jsonl", m)
+                 for m in "abc"]
+        assert self.fn_analysis(gold, *preds) == EXIT_CONTRACT
+        assert f"{gold}: line 2: record id ['a'] must be a string" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("id", ["a"]), ("id", 7), ("probability", 1.5),
+        ("probability", float("nan")), ("probability", "0.1"),
+        ("predicted", "0"), ("predicted", 2), ("predicted", True),
+        ("gold", None), ("gold", 1.0), ("cwe", "CWE-20"), ("cwe", [20])])
+    def test_mistyped_entry_exits_naming_it(self, workdir, tmp_path, capsys,
+                                            field, value):
+        gold = workdir / "part.test.jsonl"
+        good = [write_predictions(tmp_path / f"{m}.json", gold, m)
+                for m in "ab"]
+        bad = write_predictions(tmp_path / "bad.json", gold, "c",
+                                {field: value})
+        assert self.fn_analysis(gold, *good, bad) == EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert f"{bad}: prediction 0 (" in err and field in err
+
+    def test_non_string_method_exits_naming_the_file(self, workdir,
+                                                      tmp_path, capsys):
+        gold = workdir / "part.test.jsonl"
+        preds = [write_predictions(tmp_path / f"{m}.json", gold, m)
+                 for m in ("a", "b", ["m"])]
+        assert self.fn_analysis(gold, *preds) == EXIT_CONTRACT
+        assert f"{preds[2]}: method ['m'] must be a string" in \
+            capsys.readouterr().err
+
+    def test_repeated_method_exits_naming_it(self, workdir, tmp_path,
+                                             capsys):
+        gold = workdir / "part.test.jsonl"
+        pred = write_predictions(tmp_path / "p.json", gold, "vulcontrast")
+        assert self.fn_analysis(gold, pred, pred, pred) == EXIT_CONTRACT
+        assert "method 'vulcontrast' names more than one" in \
+            capsys.readouterr().err
+
+    def test_distinct_methods_pass(self, workdir, tmp_path, capsys):
+        gold = workdir / "part.test.jsonl"
+        preds = [write_predictions(tmp_path / f"{m}.json", gold, m)
+                 for m in "abc"]
+        assert self.fn_analysis(gold, *preds) == EXIT_OK
+        positives = sum(r.label for r in load_jsonl(str(gold)))
+        assert json.loads(capsys.readouterr().out)["fn_totals"] == \
+            {m: positives for m in "abc"}
 
 
 class TestExitCodes:

@@ -39,6 +39,10 @@ class TestLoadJsonl:
         '{"code":123,"label":1}',
         '{"code":"y","label":1,"cwe":7}',
         '{"code":"y","label":1,"comment":["x"]}',
+        '{"id":["a"],"code":"y","label":1}',
+        '{"id":7,"code":"y","label":1}',
+        '{"code":"y","label":true}',
+        '{"code":"y","label":1.0}',
     ])
     def test_wrongly_typed_field_names_line(self, tmp_path, bad):
         path = tmp_path / "d.jsonl"
