@@ -557,15 +557,6 @@ class TestFnAnalysisInput:
         assert "method 'vulcontrast' names more than one" in \
             capsys.readouterr().err
 
-    def test_distinct_methods_pass(self, workdir, tmp_path, capsys):
-        gold = workdir / "part.test.jsonl"
-        preds = [write_predictions(tmp_path / f"{m}.json", gold, m)
-                 for m in "abc"]
-        assert self.fn_analysis(gold, *preds) == EXIT_OK
-        positives = sum(r.label for r in load_jsonl(str(gold)))
-        assert json.loads(capsys.readouterr().out)["fn_totals"] == \
-            {m: positives for m in "abc"}
-
 
 class TestExitCodes:
     def test_missing_input_is_io_error(self, tmp_path):
