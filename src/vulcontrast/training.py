@@ -14,7 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import augment_tokens, keyed_rng
-from .data import PAD_TOKEN, UNK_TOKEN, build_vocab, encode, tokenize
+from .data import (PAD_TOKEN, UNK_TOKEN, TokenSequence, build_vocab, encode,
+                   tokenize)
 from .losses import LossWeights, similarity_matrix, total_loss
 from .model import (CODE_SIDE, LOGIT_SCALE_INIT, DualEncoderModel,
                     EncoderConfig)
@@ -159,12 +160,14 @@ def train(records, validation, config, progress=None):
         raise TrainError(f"record {uncommented[0]!r} has no comment; "
                          "run attach_comments first")
     vocabs = {"code": build_vocab(records, "code", config.vocab_size)}
-    tokens = {"code": [tokenize(r.code, "code") for r in records]}
     text_config = None  # no weighted term reads text: no text side at all
     if w.reads_comments:
         vocabs["text"] = build_vocab(records, "text", config.vocab_size)
-        tokens["text"] = [tokenize(r.comment, "text") for r in records]
         text_config = config.encoder_config(vocabs["text"].size)
+    # ids once per record: augment draws depend only on a sequence's length
+    ids = {m: [encode(toks, vocab, len(toks)).tokens for toks in (
+        tokenize(r.code if m == "code" else r.comment, m) for r in records)]
+        for m, vocab in vocabs.items()}
     model = DualEncoderModel(config.encoder_config(vocabs["code"].size),
                              text_config, seed=config.seed)
     optimizer = AdamOptimizer(model.parameters(), config.learning_rate,
@@ -174,12 +177,11 @@ def train(records, validation, config, progress=None):
         """The batch's projected `modality` view, augmented if `epoch`."""
         seqs = []
         for i in batch_idx:
-            toks = tokens[modality][i]
+            seq = ids[modality][i]
             if epoch is not None:
-                toks = augment_tokens(toks, config.alpha, keyed_rng(
+                seq = augment_tokens(seq, config.alpha, keyed_rng(
                     config.seed, records[i].id, modality, epoch))
-            seqs.append(encode(toks, vocabs[modality],
-                               config.max_input_length))
+            seqs.append(TokenSequence(seq[:config.max_input_length], modality))
         return model.project(model.encode_batch(seqs, modality), modality)
 
     log_rows = []

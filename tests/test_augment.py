@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from vulcontrast.augment import (augment_tokens, random_delete,
                                  keyed_rng, random_swap)
+from vulcontrast.data import PAD_TOKEN, UNK_TOKEN, Vocabulary, encode
 
 TOKENS = [f"t{i}" for i in range(10)]
 
@@ -126,3 +127,27 @@ class TestViews:
         # recorded before the stream helper was shared with parameter
         # initialisation; a change here changes every augmented view
         assert augment_tokens(TOKENS, alpha, keyed_rng(*key)) == expect
+
+
+class TestAugmentedIds:
+    """Training encodes each record once, then augments and cuts its ids.
+    That gives the ids of the augmented, cut tokens, because the draws
+    depend only on a sequence's length."""
+
+    # t6 to t9 are out of vocabulary, so several tokens share <unk>'s id
+    VOCAB = Vocabulary({UNK_TOKEN: 0, PAD_TOKEN: 1,
+                        **{t: i + 2 for i, t in enumerate(TOKENS[:6])}},
+                       "code")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=60),
+           st.floats(0, 1), st.integers(1, 80),
+           st.tuples(st.integers(0, 10 ** 6), st.text(max_size=4),
+                     st.sampled_from(["code", "text"]),
+                     st.integers(0, 20)))
+    def test_augmenting_then_cutting_ids_commutes_with_encode(
+            self, toks, alpha, cut, key):
+        ids = encode(toks, self.VOCAB, len(toks)).tokens
+        assert augment_tokens(ids, alpha, keyed_rng(*key))[:cut] == encode(
+            augment_tokens(toks, alpha, keyed_rng(*key)), self.VOCAB,
+            cut).tokens

@@ -296,6 +296,23 @@ class TestTrainLoop:
         assert result.model.text_invocations == passes * len(rows)
         assert len(calls) == augments * len(records)
 
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("fine_tuning_only,modalities", [
+        (False, ["code", "text"]), (True, ["code"])])
+    def test_encodes_each_record_once_per_modality_read(
+            self, monkeypatch, epochs, fine_tuning_only, modalities):
+        calls = []
+
+        def counting_encode(tokens, vocab, max_input_length):
+            calls.append(vocab.modality)
+            return encode(tokens, vocab, max_input_length)
+
+        monkeypatch.setattr(training, "encode", counting_encode)
+        records = small_records(n=8)
+        train(records, records[:4], small_config(
+            epochs=epochs, fine_tuning_only=fine_tuning_only))
+        assert sorted(calls) == sorted(modalities * len(records))
+
     def test_full_objective_invokes_text_encoder(self):
         records = small_records(n=8)
         result, _ = train(records, [], small_config(epochs=1))
