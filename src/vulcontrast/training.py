@@ -98,6 +98,8 @@ class AdamOptimizer:
     def clip_gradients(self):
         grads = [p.grad for p in self.params.values() if p.grad is not None]
         norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads))
+        if not math.isfinite(norm):  # scaling by 1/inf would zero every g
+            raise ad.NonFiniteError(f"pre-clip gradient norm is {norm}")
         if norm > GRAD_CLIP_NORM:
             for g in grads:
                 g *= GRAD_CLIP_NORM / norm
@@ -144,6 +146,8 @@ class TrainResult:
     code_vocab: object
 
 
+# overflow surfaces as the per-node check's typed error, not numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(records, validation, config, progress=None):
     """Train the dual-encoder model; returns the model (restored to its
     best-validation-F1 epoch if `select_best_f1`) with per-epoch logs, and

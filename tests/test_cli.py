@@ -261,6 +261,7 @@ class TestTrain:
                     "--config", str(bad)]) == EXIT_CONTRACT
         assert f"{bad} is not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_exits_naming_the_step(self, workdir, tmp_path,
                                                  capsys):
         config = tmp_path / "diverge.cfg"
@@ -272,6 +273,20 @@ class TestTrain:
                     "--checkpoint", str(tmp_path / "m")]) == EXIT_CONTRACT
         assert re.search(r"training diverged at epoch \d+, step \d+: "
                          r"non-finite values", capsys.readouterr().err)
+        assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gradient_norm_exits_naming_the_step(
+            self, workdir, tmp_path, capsys):
+        config = tmp_path / "overflow.cfg"
+        config.write_text(TRAIN_CONFIG.replace("epochs = 2", "epochs = 1")
+                          + "classification = 1e308\n")
+        assert run(["train", "--train",
+                    str(workdir / "train.commented.jsonl"),
+                    "--config", str(config),
+                    "--checkpoint", str(tmp_path / "m")]) == EXIT_CONTRACT
+        assert re.search(r"training diverged at epoch 0, step 1: pre-clip "
+                         r"gradient norm is inf", capsys.readouterr().err)
         assert not (tmp_path / "m.npz").exists()
 
     @pytest.mark.parametrize("flags,comments", [([], True),

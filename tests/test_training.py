@@ -134,6 +134,15 @@ class TestClipGradients:
         # both scaled by the same 1/5 factor
         assert np.allclose(a.grad, [[0.6]]) and np.allclose(b.grad, [[0.8]])
 
+    def test_non_finite_norm_raises_and_leaves_gradients(self):
+        p = ad.parameter(np.zeros((1, 2)), "p")
+        p.grad = np.array([[1e200, 1.0]])
+        opt = AdamOptimizer({"p": p}, lr=0.1)
+        with np.errstate(over="ignore"), pytest.raises(
+                ad.NonFiniteError, match="pre-clip gradient norm is inf"):
+            opt.clip_gradients()
+        assert np.array_equal(p.grad, [[1e200, 1.0]])
+
     def test_never_increases_norm(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
