@@ -1,8 +1,10 @@
 """Synthetic C-like function corpus with a planted unsafe-call pattern.
 
-Labels are 1 exactly when the code contains the three-token pattern
-``execraw ( userbuf`` somewhere in its body. About 30% of body tokens are
-digit-bearing distractor noise so the surface form varies per function.
+Labels are 1 exactly when the code contains the token ``execraw``. Each
+positive has the pattern ``execraw ( userbuf`` planted in its body before
+noise is inserted, so a noise token may fall between the pattern's tokens.
+About 30% of body tokens are digit-bearing distractor noise so the surface
+form varies per function.
 """
 
 from __future__ import annotations

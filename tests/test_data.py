@@ -266,3 +266,16 @@ class TestSplit:
         ids = [r.id for part in parts for r in part]
         assert sorted(ids) == sorted(r.id for r in records)
         assert len(set(ids)) == n
+
+
+class TestFixture:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 10 ** 6))
+    def test_label_is_one_exactly_when_execraw_occurs(self, n, seed):
+        assert all(r.label == ("execraw" in tokenize(r.code, "code"))
+                   for r in generate_fixture(n=n, seed=seed))
+
+    def test_noise_may_split_the_planted_pattern(self):
+        positives = [r for r in generate_fixture() if r.label == 1]
+        whole = [r for r in positives if "execraw ( userbuf" in r.code]
+        assert (len(positives), len(whole)) == (200, 67)
