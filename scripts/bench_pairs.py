@@ -10,8 +10,10 @@ the parent and once on the working tree, alternating which side runs
 first, so that a drift in the host's speed falls on both sides alike.
 Then it writes, at the repository root:
 
-- `BENCH_<label>.json`: every run's last JSON line, each side's median
-  and quartiles per metric, and each side's environment;
+- `BENCH_<label>.json`: every run's last JSON line and exit code (and,
+  for a failed run, the last 20 lines of its stderr, which is also
+  echoed live), each side's median and quartiles per metric, and each
+  side's environment;
 - `BENCH_baseline.json`: the parent side alone, in the same form.
 
 Uses the standard library only. The exit code is 1 if any run failed a
@@ -21,6 +23,7 @@ correctness check.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import statistics
 import subprocess
@@ -43,15 +46,30 @@ def unpack(revision, dest):
 
 
 def run_bench(root, seed, seconds):
-    """The last JSON line of one `--workload all` run in `root`."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all",
-         "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=root, stdout=subprocess.PIPE, text=True)
-    lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {"correct": False}
-    result["correct"] = bool(result.get("correct")) and proc.returncode == 0
-    return result
+    """One `--workload all` run in `root`: its last JSON line as `result`,
+    its `exit_code` and, if it failed, the last 20 lines of its stderr,
+    which is echoed live as it runs."""
+    tail = collections.deque(maxlen=20)
+    with tempfile.TemporaryFile("w+") as out:
+        proc = subprocess.Popen(
+            [sys.executable, "perfbench/run.py", "--workload", "all",
+             "--seed", str(seed), "--seconds", str(seconds)],
+            cwd=root, stdout=out, stderr=subprocess.PIPE, text=True)
+        for line in proc.stderr:
+            sys.stderr.write(line)
+            tail.append(line.rstrip("\n"))
+        code = proc.wait()
+        out.seek(0)
+        lines = out.read().strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):  # no output, or it stopped mid-run
+        result = {"correct": False}
+    result["correct"] = bool(result.get("correct")) and code == 0
+    entry = {"result": result, "exit_code": code}
+    if not result["correct"]:
+        entry["stderr_tail"] = list(tail)
+    return entry
 
 
 def environment(root, seed, seconds):
@@ -105,10 +123,12 @@ def main(argv=None):
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
-                result = run_bench(roots[side], seed, args.seconds)
+                entry = run_bench(roots[side], seed, args.seconds)
                 runs.append({"seed": seed, "side": side,
-                             "position": position, "result": result})
+                             "position": position, **entry})
+                result = entry["result"]
                 print(f"seed {seed} {side}: correct={result['correct']} "
+                      f"exit={entry['exit_code']} "
                       f"failed={result.get('failed')}", file=sys.stderr)
 
     common = {"parent": revision, "seeds": args.seeds,

@@ -49,13 +49,45 @@ class EncoderConfig:
                 f"{self.num_heads} heads")
 
 
-CODE_SIDE = ("code.", "proj.code", "cls.")
+def parameter_table(code_config, text_config=None):
+    """`(name, shape, fill)` per parameter in draw order: the code side
+    (encoder, `proj.code`, classifier), then with `text_config` the text
+    side (encoder, `proj.text`, logit scale). A `fill` of None is a normal
+    draw from `keyed_rng(seed, name)`, a number a constant fill. Lazy, so a
+    checkpoint reader stops at the first name its file lacks."""
+    p = code_config.proj_dim
+    if text_config is not None and text_config.proj_dim != p:
+        raise ModelError("code and text projection dimensions must match")
+    for tag, cfg in (("code", code_config), ("text", text_config)):
+        if cfg is None:
+            return
+        d, dh, ff = cfg.embed_dim, cfg.embed_dim // cfg.num_heads, cfg.ff_dim
+        yield f"{tag}.embed", (cfg.vocab_size, d), None
+        yield f"{tag}.pos", (cfg.max_input_length, d), None
+        for b in range(cfg.num_blocks):
+            for h in range(cfg.num_heads):
+                for part in ("wq", "wk", "wv"):
+                    yield f"{tag}.block{b}.head{h}.{part}", (d, dh), None
+                yield f"{tag}.block{b}.head{h}.wo", (dh, d), None
+            yield f"{tag}.block{b}.attn_bias", (1, d), 0.0
+            yield f"{tag}.block{b}.ff_w1", (d, ff), None
+            yield f"{tag}.block{b}.ff_b1", (1, ff), 0.0
+            yield f"{tag}.block{b}.ff_w2", (ff, d), None
+            yield f"{tag}.block{b}.ff_b2", (1, d), 0.0
+        yield f"proj.{tag}", (d, p), None
+        if tag == "code":
+            yield "cls.w1", (p, p), None
+            yield "cls.b1", (1, p), 0.0
+            yield "cls.w2", (p, 1), None
+            yield "cls.b2", (1, 1), 0.0
+        else:
+            yield "logit_scale", (1, 1), math.log(LOGIT_SCALE_INIT)
 
 
 class DualEncoderModel:
     """All learnable state: two encoders, two projection heads, the logit
-    scale and the classifier head. With `text_config` None the model is the
-    code side only, the parameters named by `CODE_SIDE`, which is all that
+    scale and the classifier head, laid out by `parameter_table`. With
+    `text_config` None the model is the code side only, which is all that
     inference reads. Each random parameter is drawn from `keyed_rng(seed,
     name)`, so the code side is the same with or without a text side."""
 
@@ -64,42 +96,12 @@ class DualEncoderModel:
         self.text_config = text_config
         self.seed = seed
         self.text_invocations = 0
-        self.params = {}
-        self._init_encoder("code", code_config)
-        d, p = code_config.embed_dim, code_config.proj_dim
-        self._normal("proj.code", (d, p))
-        self._normal("cls.w1", (p, p))
-        self._add("cls.b1", np.zeros((1, p)))
-        self._normal("cls.w2", (p, 1))
-        self._add("cls.b2", np.zeros((1, 1)))
-        if text_config is not None:
-            if text_config.proj_dim != p:
-                raise ModelError(
-                    "code and text projection dimensions must match")
-            self._init_encoder("text", text_config)
-            self._normal("proj.text", (text_config.embed_dim, p))
-            self._add("logit_scale", np.array([[math.log(LOGIT_SCALE_INIT)]]))
-
-    def _add(self, name, data):
-        self.params[name] = ad.parameter(data, name)
-
-    def _normal(self, name, shape):
-        self._add(name, keyed_rng(self.seed, name).normal(0, INIT_STD, shape))
-
-    def _init_encoder(self, tag, cfg):
-        d, dh = cfg.embed_dim, cfg.embed_dim // cfg.num_heads
-        self._normal(f"{tag}.embed", (cfg.vocab_size, d))
-        self._normal(f"{tag}.pos", (cfg.max_input_length, d))
-        for b in range(cfg.num_blocks):
-            for h in range(cfg.num_heads):
-                for part in ("wq", "wk", "wv"):
-                    self._normal(f"{tag}.block{b}.head{h}.{part}", (d, dh))
-                self._normal(f"{tag}.block{b}.head{h}.wo", (dh, d))
-            self._add(f"{tag}.block{b}.attn_bias", np.zeros((1, d)))
-            self._normal(f"{tag}.block{b}.ff_w1", (d, cfg.ff_dim))
-            self._add(f"{tag}.block{b}.ff_b1", np.zeros((1, cfg.ff_dim)))
-            self._normal(f"{tag}.block{b}.ff_w2", (cfg.ff_dim, d))
-            self._add(f"{tag}.block{b}.ff_b2", np.zeros((1, d)))
+        self.params = {
+            name: ad.parameter(
+                keyed_rng(seed, name).normal(0, INIT_STD, shape)
+                if fill is None else np.full(shape, fill), name)
+            for name, shape, fill in parameter_table(code_config,
+                                                     text_config)}
 
     # -------------------------------------------------------------- helpers
 

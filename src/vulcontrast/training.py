@@ -17,8 +17,8 @@ from .augment import augment_tokens, keyed_rng
 from .data import (PAD_TOKEN, UNK_TOKEN, TokenSequence, build_vocab, encode,
                    tokenize)
 from .losses import LossWeights, similarity_matrix, total_loss
-from .model import (CODE_SIDE, LOGIT_SCALE_INIT, DualEncoderModel,
-                    EncoderConfig)
+from .model import (LOGIT_SCALE_INIT, DualEncoderModel, EncoderConfig,
+                    parameter_table)
 
 CHECKPOINT_VERSION = 4
 
@@ -287,9 +287,8 @@ def save_checkpoint(model, path, step=0, code_vocab=None):
     if code_vocab is not None:
         manifest["code_vocab"] = sorted(code_vocab.token_to_id,
                                         key=code_vocab.token_to_id.get)
-    members = {name: p.data.astype("<f8")
-               for name, p in sorted(model.params.items())
-               if name.startswith(CODE_SIDE)}
+    names = sorted(name for name, _, _ in parameter_table(model.code_config))
+    members = {name: model.params[name].data.astype("<f8") for name in names}
     members["manifest"] = np.array(json.dumps(manifest, sort_keys=True))
     tmp = f"{path}.npz.{os.getpid()}.tmp"
     try:
@@ -323,21 +322,24 @@ def load_checkpoint(path):
     odd = sorted(_MANIFEST_KEYS ^ (set(manifest) - {"code_vocab"}))
     if odd:
         raise CheckpointError(f"missing or unknown manifest key: {odd[0]}")
-    try:
-        model = DualEncoderModel(EncoderConfig(**manifest["code_config"]),
-                                 None, seed=manifest["seed"])
+    arrays = {}
+    try:  # every member is checked against the table before any draw
+        config = EncoderConfig(**manifest["code_config"])
+        for name, shape, _ in parameter_table(config):
+            if name not in members:
+                raise CheckpointError(f"missing parameter: {name}")
+            arr = arrays[name] = members.pop(name)
+            if arr.dtype != np.dtype("<f8") or arr.shape != shape:
+                raise CheckpointError(
+                    f"shape or dtype mismatch for parameter {name}: "
+                    f"{arr.dtype}{list(arr.shape)}")
+        if members:
+            raise CheckpointError(f"unknown parameter: {sorted(members)[0]}")
+        model = DualEncoderModel(config, None, seed=manifest["seed"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad model configuration: {exc}") from exc
-    if set(members) != set(model.params):
-        odd = sorted(set(members) ^ set(model.params))
-        raise CheckpointError(f"unknown or missing parameter: {odd[0]}")
-    for name, arr in members.items():
-        param = model.params[name].data
-        if arr.dtype != np.dtype("<f8") or arr.shape != param.shape:
-            raise CheckpointError(
-                f"shape or dtype mismatch for parameter {name}: "
-                f"{arr.dtype}{list(arr.shape)}")
-        param[...] = arr
+    for name, arr in arrays.items():
+        model.params[name].data[...] = arr
     size = model.code_config.vocab_size
     tokens = manifest.get("code_vocab")
     if "code_vocab" in manifest and not (

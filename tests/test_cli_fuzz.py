@@ -3,10 +3,12 @@
 Each example starts from a small valid input for one subcommand (a
 6-record JSONL, a one-epoch config, a prediction file, a checkpoint) and
 mutates it: empty, one record, one label only, a dropped or wrongly typed
-key, truncated or non-UTF-8 bytes, and zero, negative or non-finite
-numbers. `run` must return 0, 1 or 2 and never raise, and every exit-1
-message must come from one of the library's error classes, which `run`
-prints as `error: ...`.
+key, truncated or non-UTF-8 bytes, zero, negative or non-finite numbers,
+and a checkpoint re-saved whole with one code-config field changed, so
+that only the load's own checks stand between the manifest and a draw.
+`run` must return 0, 1 or 2 and never raise, and every exit-1 message
+must come from one of the library's error classes, which `run` prints as
+`error: ...`.
 
 Only flags that set no amount of work get huge values; the record count,
 repetitions, epochs, batch size and model sizes are only ever fuzzed
@@ -21,6 +23,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -36,6 +39,11 @@ SIZE_KEYS = ("epochs", "batch_size", "embed_dim", "num_blocks", "num_heads",
 # keys that set no amount of work: any value
 FREE_KEYS = ("seed", "learning_rate", "weight_decay", "alpha", "clip_orig",
              "clip_aug", "consistency", "classification", "select_best_f1")
+
+# a checkpoint manifest's code config: any value, since load checks the
+# layout it describes against the saved arrays before drawing anything
+CODE_CONFIG_KEYS = ("vocab_size", "embed_dim", "num_blocks", "num_heads",
+                    "ff_dim", "max_input_length", "proj_dim")
 
 HUGE_INT = 10 ** 30
 NUMBERS = [0, -1, 1, 0.5, -0.5, 1e308, -1e308, HUGE_INT, -HUGE_INT,
@@ -184,8 +192,17 @@ def mutated_preds(draw, preds, method):
 
 
 def mutated_checkpoint(draw, data):
-    how = draw(mostly("keep", ["empty", "truncate", "flip"]))
+    how = draw(mostly("keep", ["empty", "truncate", "flip", "manifest"]))
     at = draw(st.integers(0, len(data) - 1))
+    if how == "manifest":
+        with np.load(io.BytesIO(data)) as archive:
+            members = {name: archive[name] for name in archive.files}
+        manifest = json.loads(str(members.pop("manifest")))
+        manifest["code_config"][draw(st.sampled_from(CODE_CONFIG_KEYS))] = \
+            draw(st.sampled_from(ANY_INTS + [10 ** 10]))
+        out = io.BytesIO()
+        np.savez(out, manifest=np.array(json.dumps(manifest)), **members)
+        return out.getvalue()
     if how == "empty":
         return b""
     if how == "truncate":

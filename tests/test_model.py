@@ -5,8 +5,8 @@ import pytest
 
 from vulcontrast import autodiff as ad
 from vulcontrast.data import TokenSequence, PAD_ID
-from vulcontrast.model import (CODE_SIDE, DualEncoderModel, EncoderConfig,
-                               ModelError, LOGIT_SCALE_INIT)
+from vulcontrast.model import (DualEncoderModel, EncoderConfig, ModelError,
+                               LOGIT_SCALE_INIT, parameter_table)
 
 
 def tiny_config(**kw):
@@ -40,7 +40,7 @@ class TestInit:
         full = make_model(3)
         code_only = DualEncoderModel(tiny_config(), None, seed=3)
         assert list(code_only.params) == \
-            [n for n in full.params if n.startswith(CODE_SIDE)]
+            [n for n, _, _ in parameter_table(tiny_config())]
         for name, p in code_only.params.items():
             assert np.array_equal(p.data, full.params[name].data), name
         code_only.encode_batch([seq([2])], "code")
@@ -56,6 +56,47 @@ class TestInit:
             full = DualEncoderModel(tiny_config(), text, seed=seed)
             for name, p in code_only.params.items():
                 assert np.array_equal(p.data, full.params[name].data), name
+
+    @pytest.mark.parametrize("code,text", [
+        (tiny_config(), None),
+        (tiny_config(), tiny_config()),
+        (tiny_config(num_blocks=0), tiny_config(vocab_size=7, num_heads=4)),
+        (tiny_config(num_blocks=3, num_heads=8), tiny_config(embed_dim=16,
+                                                             ff_dim=5)),
+    ])
+    def test_table_lays_out_the_model(self, code, text):
+        table = list(parameter_table(code, text))
+        params = DualEncoderModel(code, text, seed=5).params
+        assert [name for name, _, _ in table] == list(params)
+        for name, shape, fill in table:
+            assert params[name].data.shape == shape, name
+            assert params[name].data.dtype == np.float64, name
+            if fill is not None:
+                assert np.array_equal(params[name].data,
+                                      np.full(shape, fill)), name
+        code_only = list(parameter_table(code))
+        assert table[:len(code_only)] == code_only
+        assert (len(table) > len(code_only)) == (text is not None)
+
+    def test_table_constant_fills(self):
+        fills = {name: fill for name, _, fill in
+                 parameter_table(tiny_config(), tiny_config())
+                 if fill is not None}
+        biases = {f"{tag}.block0.{part}" for tag in ("code", "text")
+                  for part in ("attn_bias", "ff_b1", "ff_b2")}
+        assert fills == {**dict.fromkeys(biases | {"cls.b1", "cls.b2"}, 0.0),
+                         "logit_scale": math.log(LOGIT_SCALE_INIT)}
+
+    def test_table_is_lazy(self):
+        table = parameter_table(tiny_config(vocab_size=10 ** 10,
+                                            num_blocks=10 ** 9))
+        assert next(table) == ("code.embed", (10 ** 10, 8), None)
+        assert next(table) == ("code.pos", (12, 8), None)
+        assert next(table)[0] == "code.block0.head0.wq"
+
+    def test_mismatched_projection_dims_rejected(self):
+        with pytest.raises(ModelError, match="projection dimensions"):
+            DualEncoderModel(tiny_config(), tiny_config(proj_dim=5))
 
     def test_parameters_differ_by_name_and_seed(self):
         a, b = make_model(0), make_model(1)

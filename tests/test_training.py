@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -8,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from vulcontrast import autodiff as ad
 from vulcontrast import training
+from vulcontrast.cli import EXIT_CONTRACT, run
 from vulcontrast.augment import augment_tokens
 from vulcontrast.comments import ProviderConfig, attach_comments
 from vulcontrast.data import (TokenSequence, Vocabulary, build_vocab, encode,
-                              tokenize)
+                              save_jsonl, tokenize)
 from vulcontrast.evaluation import compute_metrics, predict
 from vulcontrast.fixtures import generate_fixture
 from vulcontrast.losses import LossBreakdown, LossWeights, bce_loss
-from vulcontrast.model import (CODE_SIDE, DualEncoderModel, EncoderConfig,
-                               ModelError)
+from vulcontrast.model import (DualEncoderModel, EncoderConfig, ModelError,
+                               parameter_table)
 from vulcontrast.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                                   AdamOptimizer, CheckpointError, TrainConfig,
                                   TrainError, load_checkpoint,
@@ -276,7 +278,8 @@ class TestTrainLoop:
         write_loss_log(rows, str(log))
         assert vocab_calls == ["code"]
         assert result.model.text_config is None
-        assert all(n.startswith(CODE_SIDE) for n in result.model.params)
+        assert list(result.model.params) == [
+            n for n, _, _ in parameter_table(result.model.code_config)]
         assert set(optimizers[0].m) == set(optimizers[0].v) == \
             set(result.model.params)
         gammas = [line.rsplit(",", 1)[1]
@@ -409,7 +412,7 @@ class TestFineTuningEquivalence:
         result, _ = train(records, [], cfg)
         oracle = self.manual_loop(records, cfg)
         assert list(result.model.params) == \
-            [n for n in oracle.params if n.startswith(CODE_SIDE)]
+            [n for n, _, _ in parameter_table(oracle.code_config)]
         for name, p in result.model.params.items():
             assert np.allclose(p.data, oracle.params[name].data,
                                atol=1e-12), name
@@ -446,7 +449,7 @@ class TestCheckpoint:
         assert manifest["step"] == 42
         assert manifest["code_vocab"] == \
             ["<unk>", "<pad>"] + [f"t{i}" for i in range(2, 16)]
-        code_side = {n for n in model.params if n.startswith(CODE_SIDE)}
+        code_side = {n for n, _, _ in parameter_table(model.code_config)}
         assert set(loaded.params) == code_side
         for name in code_side:
             assert np.array_equal(loaded.params[name].data,
@@ -534,6 +537,37 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=f"parameter: {extra}"):
                 load_checkpoint(path)
             self.doctor(path, lambda members, manifest: members.pop(extra))
+
+    @pytest.mark.parametrize("key,value,first", [
+        ("vocab_size", 10 ** 10, "code.embed"),
+        ("max_input_length", 10 ** 10, "code.pos"),
+        ("ff_dim", 10 ** 10, "code.block0.ff_w1"),
+        ("proj_dim", 10 ** 10, "proj.code"),
+        ("num_blocks", 10 ** 9, "code.block1.head0.wq"),
+        ("num_heads", 1, "code.block0.head0.wq"),
+        ("num_heads", 4, "code.block0.head0.wq"),
+    ])
+    def test_manifest_disagreeing_with_members_rejected_before_drawing(
+            self, tmp_path, monkeypatch, capsys, key, value, first):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(self.make_model(), path, code_vocab=self.make_vocab())
+        self.doctor(path, lambda members, manifest:
+                    manifest["code_config"].update({key: value}))
+
+        def no_draw(*args, **kw):
+            raise AssertionError("load drew a model before its checks")
+
+        monkeypatch.setattr(training, "DualEncoderModel", no_draw)
+        names_first = rf"parameter:? {re.escape(first)}(:|$)"
+        with pytest.raises(CheckpointError, match=names_first):
+            load_checkpoint(path)
+        records = tmp_path / "records.jsonl"
+        save_jsonl(generate_fixture(n=4, seed=1), str(records))
+        assert run(["eval", "--checkpoint", path, "--input", str(records),
+                    "--output", str(tmp_path / "eval.json")]) \
+            == EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(names_first, err)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt")
