@@ -6,7 +6,9 @@ from __future__ import annotations
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Optional
 
 import requests
@@ -55,6 +57,13 @@ MAX_TOKENS = 128
 AUTH_ENV = "COMMENT_API_TOKEN"  # holds the endpoint's bearer token, if any
 # the client errors that a later attempt may cure: timeout, rate limit
 RETRYABLE_4XX = (408, 429)
+# the longest wait a Retry-After header may ask for, in seconds
+RETRY_AFTER_MAX_S = 60
+# Records in flight at once in remote mode; the client spends nearly all
+# its time waiting on the endpoint. More workers crowd more retries into
+# the same failing stretch of a flaky endpoint: against one failing every
+# 10th request, 8 let records exhaust their retries where 4 did not.
+REMOTE_WORKERS = 4
 
 
 class CommentError(RuntimeError):
@@ -125,6 +134,16 @@ def _reply_content(resp):
     return content
 
 
+def _retry_after_s(resp):
+    """The whole seconds that `resp`'s Retry-After header asks for, at most
+    RETRY_AFTER_MAX_S; 0 when it is absent or has any other form, such as
+    an HTTP date."""
+    value = resp.headers.get("Retry-After", "").strip()
+    if not (value.isascii() and value.isdecimal()):
+        return 0
+    return min(int(value), RETRY_AFTER_MAX_S)
+
+
 def _post_chat(config, messages):
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(AUTH_ENV)
@@ -138,6 +157,7 @@ def _post_chat(config, messages):
     }
     last_status = None
     for attempt in range(config.max_retries + 1):
+        delay = config.backoff_base * (2 ** attempt)
         try:
             resp = requests.post(config.endpoint, json=body, headers=headers,
                                  timeout=config.timeout)
@@ -151,8 +171,10 @@ def _post_chat(config, messages):
                 raise CommentError(
                     f"chat endpoint rejected the request "
                     f"(HTTP status: {last_status})")
+            if last_status in RETRYABLE_4XX or last_status >= 500:
+                delay = max(delay, _retry_after_s(resp))
         if attempt < config.max_retries:
-            time.sleep(config.backoff_base * (2 ** attempt))
+            time.sleep(delay)
     raise CommentError(
         f"chat endpoint failed after {config.max_retries + 1} attempts "
         f"(last HTTP status: {last_status})")
@@ -179,27 +201,43 @@ def generate_comment_llm(record, config):
     return CritiqueTranscript(draft=draft, review=bullets, final=final)
 
 
+def _comment_or_error(rec, config):
+    """`rec`'s generated comment, or the CommentError that stopped it."""
+    try:
+        if config.mode == "stub":
+            return generate_comment_stub(rec)
+        return generate_comment_llm(rec, config).final
+    except CommentError as exc:
+        return exc
+
+
 def attach_comments(records, config):
     """Fill missing comments via the configured provider; pre-commented
-    records pass through unchanged."""
-    out = []
-    errors = []
-    generated = 0
-    for rec in records:
-        if rec.comment is not None:
-            out.append(rec)
-            continue
+    records pass through unchanged.
+
+    Remote mode keeps up to REMOTE_WORKERS records in flight; the stub is
+    CPU-bound and runs in the calling thread. The output and the errors
+    keep the input order either way."""
+    todo = [i for i, rec in enumerate(records) if rec.comment is None]
+    pending = [records[i] for i in todo]
+    if config.mode == "stub":
+        results = [_comment_or_error(rec, config) for rec in pending]
+    else:
+        pool = ThreadPoolExecutor(max_workers=REMOTE_WORKERS)
         try:
-            if config.mode == "stub":
-                comment = generate_comment_stub(rec)
-            else:
-                comment = generate_comment_llm(rec, config).final
-            out.append(replace(rec, comment=comment))
-            generated += 1
-        except CommentError as exc:
-            errors.append((rec.id, str(exc)))
-            out.append(rec)
-    if errors and generated == 0 and any(r.comment is None for r in out):
+            results = list(pool.map(_comment_or_error, pending,
+                                    repeat(config)))
+        finally:
+            # an interrupt or a worker's bug starts no queued record
+            pool.shutdown(cancel_futures=True)
+    out = list(records)
+    errors = []
+    for i, result in zip(todo, results):
+        if isinstance(result, CommentError):
+            errors.append((records[i].id, str(result)))
+        else:
+            out[i] = replace(records[i], comment=result)
+    if errors and len(errors) == len(todo):
         detail = "; ".join(f"{rid}: {msg}" for rid, msg in errors[:3])
         raise CommentError(f"all comment generations failed ({detail})")
     return out, errors

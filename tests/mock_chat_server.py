@@ -3,6 +3,7 @@ network access: the server binds to 127.0.0.1 on an ephemeral port."""
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
@@ -12,22 +13,55 @@ class MockChatServer:
     responses: list of strings returned (in order) as assistant content.
     fail_times: number of leading requests answered with `fail_status`.
     fail_status: HTTP status of those failures (500 by default).
+    fail_headers: headers sent with each of those failures.
     raw_body: bytes sent as the body of every HTTP 200 reply in place of a
         well-formed chat-completions payload.
+    delay_s: seconds each request waits before it is answered.
+    reject_marker: a request whose messages hold this text is answered
+        with HTTP 400.
+
+    `peak_in_flight` is the most requests the server was answering at once.
     """
 
     def __init__(self, responses, fail_times=0, fail_status=500,
-                 raw_body=None):
+                 fail_headers=None, raw_body=None, delay_s=0.0,
+                 reject_marker=None):
         self.responses = list(responses)
         self.fail_times = fail_times
         self.fail_status = fail_status
+        self.fail_headers = dict(fail_headers or {})
         self.raw_body = raw_body
+        self.delay_s = delay_s
+        self.reject_marker = reject_marker
         self.requests = []
+        self.in_flight = 0
+        self.peak_in_flight = 0
         self._lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
+                with outer._lock:
+                    outer.in_flight += 1
+                    outer.peak_in_flight = max(outer.peak_in_flight,
+                                               outer.in_flight)
+                try:
+                    # tests that record the client's sleeps patch
+                    # time.sleep, so it is called only when asked for
+                    if outer.delay_s:
+                        time.sleep(outer.delay_s)
+                    self._answer()
+                finally:
+                    with outer._lock:
+                        outer.in_flight -= 1
+
+            def _fail(self, status, headers):
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.end_headers()
+
+            def _answer(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length))
                 with outer._lock:
@@ -35,10 +69,14 @@ class MockChatServer:
                         "body": body,
                         "headers": dict(self.headers),
                     })
+                    if outer.reject_marker is not None and any(
+                            outer.reject_marker in m["content"]
+                            for m in body["messages"]):
+                        self._fail(400, {})
+                        return
                     if outer.fail_times > 0:
                         outer.fail_times -= 1
-                        self.send_response(outer.fail_status)
-                        self.end_headers()
+                        self._fail(outer.fail_status, outer.fail_headers)
                         return
                     if outer.raw_body is not None:
                         payload = outer.raw_body

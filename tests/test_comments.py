@@ -1,8 +1,12 @@
+import threading
+import time
+
 import pytest
 
 from vulcontrast import comments
 from vulcontrast.comments import (CommentError, CritiqueTranscript,
-                                  HARD_CONSTRAINTS, ProviderConfig,
+                                  HARD_CONSTRAINTS, REMOTE_WORKERS,
+                                  RETRY_AFTER_MAX_S, ProviderConfig,
                                   attach_comments, generate_comment_llm,
                                   generate_comment_stub)
 from vulcontrast.data import FunctionRecord
@@ -124,14 +128,48 @@ class TestRemoteProtocol:
     def test_other_client_errors_fail_at_once(self, status, monkeypatch):
         sleeps = []
         monkeypatch.setattr(comments.time, "sleep", sleeps.append)
-        with MockChatServer(self.RESPONSES, fail_times=1,
-                            fail_status=status) as server:
+        # a Retry-After on a request that is not retried is not waited
+        with MockChatServer(self.RESPONSES, fail_times=1, fail_status=status,
+                            fail_headers={"Retry-After": "5"}) as server:
             with pytest.raises(CommentError, match=rf"rejected the request "
                                rf"\(HTTP status: {status}\)"):
                 generate_comment_llm(FACTORIAL,
                                      remote_config(server.url, retries=3))
             assert len(server.requests) == 1
         assert sleeps == []
+
+    @pytest.mark.parametrize("status,retry_after,backoff,sleeps", [
+        # a whole number of seconds above the backoff is waited out
+        (429, "3", 0.01, [3, 3]),
+        (503, "2", 0.01, [2, 2]),
+        (408, " 1 ", 0.01, [1, 1]),
+        # the backoff wins when it is the longer wait
+        (429, "1", 1.5, [1.5, 3.0]),
+        (500, "0", 0.01, [0.01, 0.02]),
+        # a wait past the cap is cut to it
+        (429, "86400", 0.01, [RETRY_AFTER_MAX_S] * 2),
+        (503, "9" * 40, 0.01, [RETRY_AFTER_MAX_S] * 2),
+        # any other form falls back to the backoff
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.01, [0.01, 0.02]),
+        (503, "soon", 0.01, [0.01, 0.02]),
+        (429, "-5", 0.01, [0.01, 0.02]),
+        (429, "1.5", 0.01, [0.01, 0.02]),
+        (429, "", 0.01, [0.01, 0.02]),
+        (500, None, 0.01, [0.01, 0.02]),
+    ])
+    def test_retry_after_sets_the_wait(self, status, retry_after, backoff,
+                                       sleeps, monkeypatch):
+        waits = []
+        monkeypatch.setattr(comments.time, "sleep", waits.append)
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        with MockChatServer(self.RESPONSES, fail_times=2, fail_status=status,
+                            fail_headers=headers) as server:
+            out = generate_comment_llm(
+                FACTORIAL, remote_config(server.url, retries=2,
+                                         backoff=backoff))
+            assert len(server.requests) == 5
+        assert out.draft == self.RESPONSES[0]
+        assert waits == sleeps
 
     @pytest.mark.parametrize("body", [
         b'{"choices": []}', b"{}", b"[]", b"not json",
@@ -208,3 +246,68 @@ class TestAttachComments:
     def test_order_preserved(self):
         out, _ = attach_comments(self.records(), ProviderConfig())
         assert [r.id for r in out] == ["r0", "r1", "r2"]
+
+
+class TestRemotePool:
+    """Remote mode keeps up to REMOTE_WORKERS records in flight and still
+    answers in input order."""
+
+    MARKER = "REJECT_THIS_RECORD"
+
+    def records(self, n, rejected=()):
+        return [FunctionRecord(
+            id=f"r{i}", label=i % 2,
+            code=f"int f{i}(int a){{ {self.MARKER if i in rejected else ''} }}")
+            for i in range(n)]
+
+    def test_records_overlap_up_to_the_worker_count(self):
+        with MockChatServer(["Does one thing."], delay_s=0.05) as server:
+            out, errors = attach_comments(self.records(12),
+                                          remote_config(server.url))
+            peak = server.peak_in_flight
+            assert len(server.requests) == 3 * 12
+        assert errors == []
+        assert [r.comment for r in out] == ["Does one thing."] * 12
+        assert 1 < peak <= REMOTE_WORKERS
+
+    def test_failed_records_keep_their_positions(self):
+        rejected = (1, 4, 5, 9)
+        records = self.records(12, rejected)
+        with MockChatServer(["Does one thing."], delay_s=0.02,
+                            reject_marker=self.MARKER) as server:
+            out, errors = attach_comments(records, remote_config(server.url))
+        assert [r.id for r in out] == [r.id for r in records]
+        assert [r.comment is None for r in out] == \
+            [i in rejected for i in range(12)]
+        assert [rid for rid, _ in errors] == [f"r{i}" for i in rejected]
+        assert all("HTTP status: 400" in msg for _, msg in errors)
+
+    def test_stub_mode_stays_in_the_calling_thread(self, monkeypatch):
+        threads = []
+        stub = comments.generate_comment_stub
+
+        def recording_stub(rec):
+            threads.append(threading.get_ident())
+            return stub(rec)
+
+        monkeypatch.setattr(comments, "generate_comment_stub", recording_stub)
+        out, errors = attach_comments(self.records(12), ProviderConfig())
+        assert errors == [] and all(r.comment for r in out)
+        assert threads == [threading.get_ident()] * 12
+
+    def test_a_worker_bug_propagates_and_stops_queued_records(
+            self, monkeypatch):
+        started = []
+
+        def buggy_llm(rec, config):
+            started.append(rec.id)
+            if rec.id == "r0":
+                raise KeyError("a bug, not a CommentError")
+            time.sleep(0.1)
+            return CritiqueTranscript(draft="d", review=[], final="Fine.")
+
+        monkeypatch.setattr(comments, "generate_comment_llm", buggy_llm)
+        config = remote_config("http://127.0.0.1:1/never-contacted")
+        with pytest.raises(KeyError, match="a bug"):
+            attach_comments(self.records(40), config)
+        assert 0 < len(started) < 40
