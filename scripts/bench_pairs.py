@@ -16,8 +16,13 @@ Then it writes, at the repository root:
   side's environment;
 - `BENCH_baseline.json`: the parent side alone, in the same form.
 
-Uses the standard library only. The exit code is 1 if any run failed a
-correctness check.
+It also prints each change-side train-full `records_per_s` against the
+held-out gate, `TrainConfig().epochs` x the training records / `--seconds`
+(about 106.7 records/s at 30 s), and stores the gate in `BENCH_<label>.json`.
+At or above the gate, a train-full `train()` call can finish all its epochs
+within the budget, and then the workload checks held-out F1, which some
+fixture seeds fail (see `scripts/held_out_seeds.py`); it warns when a run
+crosses the gate. The exit code is 1 if any run failed a correctness check.
 """
 
 from __future__ import annotations
@@ -32,7 +37,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+
+from perfbench.workloads import (TRAIN_FIXTURE_SIZE,  # noqa: E402
+                                 TRAIN_SPLIT)
+from vulcontrast.training import TrainConfig  # noqa: E402
+
 SIDES = ("parent", "change")
+TRAIN_METRIC = "train-full/records_per_s"
 ENV_SNIPPET = ("import json, sys; sys.path.insert(0, '.'); "
                "from perfbench.run import environment; "
                "print(json.dumps(environment('all', {seed}, {seconds}, 0)))")
@@ -103,6 +115,24 @@ def side_record(runs, side, revision, env):
             "all_correct": all(r["correct"] for r in results)}
 
 
+def held_out_gate(seconds):
+    """The train-full `records_per_s` at which a `train()` call finishes
+    all its epochs within `seconds`, so that held-out F1 gets checked."""
+    records = round(TRAIN_FIXTURE_SIZE * TRAIN_SPLIT[0])
+    return TrainConfig().epochs * records / seconds
+
+
+def gate_note(result, gate):
+    """A change-side run's train-full rate against `gate`, with a warning
+    at or above it."""
+    rate = result.get("metrics", {}).get(TRAIN_METRIC, {}).get("value")
+    if rate is None:
+        return "no train-full rate"
+    warning = "  WARNING: held-out F1 is checked" if rate >= gate else ""
+    return (f"train-full {rate:.1f} records/s against the held-out gate "
+            f"{gate:.1f}{warning}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="git revision of the parent side")
@@ -114,6 +144,7 @@ def main(argv=None):
     revision = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
                               stdout=subprocess.PIPE, text=True,
                               check=True).stdout.strip()
+    gate = held_out_gate(args.seconds)
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         roots = {"parent": Path(tmp), "change": ROOT}
@@ -130,11 +161,14 @@ def main(argv=None):
                 print(f"seed {seed} {side}: correct={result['correct']} "
                       f"exit={entry['exit_code']} "
                       f"failed={result.get('failed')}", file=sys.stderr)
+                if side == "change":
+                    print(f"seed {seed} change: {gate_note(result, gate)}",
+                          file=sys.stderr)
 
     common = {"parent": revision, "seeds": args.seeds,
               "seconds": args.seconds,
               "command": "python3 perfbench/run.py --workload all"}
-    report = dict(common, label=args.label, runs=runs,
+    report = dict(common, label=args.label, held_out_gate=gate, runs=runs,
                   sides={side: side_record(runs, side, revision, envs[side])
                          for side in SIDES})
     baseline = dict(common, label="baseline",

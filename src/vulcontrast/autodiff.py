@@ -2,8 +2,9 @@
 
 Everything is a 2-D array; scalars are shape (1, 1). The primitive set is
 exactly what the training objectives need: matmul, elementwise arithmetic,
-exp/log, softmax/log-sum-exp per row, l2 normalization, pooling, embedding
-lookup, sigmoid/gelu, row concatenation and a clamp.
+exp/log, softmax/log-sum-exp per row, one head of scaled dot-product
+attention (`attention`), l2 normalization, pooling, embedding lookup,
+sigmoid/gelu, row concatenation and a clamp.
 
 Inside `no_grad()` the primitives compute values but record no graph, and
 `backward` releases each node's graph as it walks it, so a graph can be
@@ -239,6 +240,39 @@ def row_softmax(a):
     return _node(y, "row-softmax", (a,), backward)
 
 
+def attention(q, k, v, c):
+    """`softmax(c · q kᵀ) v` as one node: one head of scaled dot-product
+    attention. It computes what `matmul(row_softmax(scale(matmul(q,
+    transpose(k)), c)), v)` does, operation for operation, so values and
+    gradients are the same bits; the L×L buffer is reused in place."""
+    c = float(c)
+    if (q.data.shape[1] != k.data.shape[1]
+            or k.data.shape[0] != v.data.shape[0]):
+        raise ShapeError(f"attention: q {q.data.shape}, k {k.data.shape}, "
+                         f"v {v.data.shape}")
+    probs = q.data @ k.data.T
+    probs *= c
+    top = probs.max(axis=1, keepdims=True)
+    # a NaN or +inf shows in the row maxima; a lone -inf only in the minimum
+    if not (np.all(np.isfinite(top)) and np.isfinite(probs.min())):
+        raise NonFiniteError("non-finite values produced by attention scores")
+    probs -= top
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+
+    def backward(g):
+        dp = g @ v.data.T
+        dot = (dp * probs).sum(axis=1, keepdims=True)
+        dp -= dot
+        dp *= probs
+        dp *= c
+        _accum(q, dp @ k.data)
+        _accum(k, (q.data.T @ dp).T)
+        _accum(v, probs.T @ g)
+
+    return _node(probs @ v.data, "attention", (q, k, v), backward)
+
+
 def row_logsumexp(a):
     m = a.data.max(axis=1, keepdims=True)
     e = np.exp(a.data - m)
@@ -311,11 +345,18 @@ def sigmoid(a):
 
 def gelu(a):
     """Tanh-form GELU (Hendrycks & Gimpel 2016); the cube is multiplied
-    out, as numpy computes `x ** 3` one element at a time."""
+    out, as numpy computes `x ** 3` one element at a time. The forward
+    pass runs each step of `0.5 x (1 + tanh(s (x + c x² x)))` in place, in
+    that order."""
     x = a.data
     x2 = x * x
-    t = np.tanh(GELU_SCALE * (x + GELU_CUBIC * x2 * x))
-    y = 0.5 * x * (1.0 + t)
+    t = GELU_CUBIC * x2
+    t *= x
+    t += x
+    t *= GELU_SCALE
+    np.tanh(t, out=t)
+    y = 1.0 + t
+    y *= 0.5 * x
 
     def backward(g):
         du = GELU_SCALE * (1.0 + 3.0 * GELU_CUBIC * x2)

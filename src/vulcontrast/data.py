@@ -16,6 +16,10 @@ PAD_TOKEN = "<pad>"
 
 _CWE_RE = re.compile(r"^CWE-\d+$")
 _CODE_PUNCT = set('(){}[];,.*&=<>!+-/%"\'\\')
+# one punctuation character, or a run of anything but punctuation and
+# whitespace (the whitespace of `str.split`)
+_CODE_TOKEN_RE = re.compile(
+    r"[{0}]|[^{0}\s]+".format(re.escape("".join(sorted(_CODE_PUNCT)))))
 _TEXT_TRAIL = set(".,;:")
 
 
@@ -152,21 +156,10 @@ def save_jsonl(records, path):
 def tokenize(text, modality):
     """Split text into tokens. Code splits punctuation into single-character
     tokens; text splits trailing sentence punctuation off words."""
-    out = []
     if modality == "code":
-        for chunk in text.split():
-            buf = []
-            for ch in chunk:
-                if ch in _CODE_PUNCT:
-                    if buf:
-                        out.append("".join(buf))
-                        buf = []
-                    out.append(ch)
-                else:
-                    buf.append(ch)
-            if buf:
-                out.append("".join(buf))
+        out = _CODE_TOKEN_RE.findall(text)
     elif modality == "text":
+        out = []
         for chunk in text.split():
             tail = []
             while chunk and chunk[-1] in _TEXT_TRAIL:

@@ -3,6 +3,7 @@ benchmarking and false-negative overlap analysis."""
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 
@@ -83,6 +84,16 @@ class FnAnalysis:
 
 # ----------------------------------------------------------------- predict
 
+@contextlib.contextmanager
+def _finite(what):
+    """Overflow in `what` surfaces as EvalError, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except ad.NonFiniteError as exc:
+            raise EvalError(f"{what}: {exc}") from exc
+
+
 def embed_code(model, records, vocab, max_input_length=None, batch_size=32):
     """Projected code embeddings, one row per record, encoded in chunks of
     `batch_size` without building a graph; the text encoder is never
@@ -97,10 +108,12 @@ def embed_code(model, records, vocab, max_input_length=None, batch_size=32):
     rows = []
     with ad.no_grad():
         for i in range(0, len(records), batch_size):
+            chunk = records[i:i + batch_size]
             seqs = [encode(tokenize(r.code, "code"), vocab, max_input_length)
-                    for r in records[i:i + batch_size]]
-            hidden = model.encode_batch(seqs, "code")
-            rows.append(model.project(hidden, "code").data)
+                    for r in chunk]
+            with _finite(f"encoding the chunk from record {chunk[0].id!r}"):
+                hidden = model.encode_batch(seqs, "code")
+                rows.append(model.project(hidden, "code").data)
     return np.vstack(rows)
 
 
@@ -111,7 +124,7 @@ def predict(model, records, code_vocab, threshold=DEFAULT_THRESHOLD,
         raise EvalError("predict: threshold must lie in (0, 1)")
     projected = embed_code(model, records, code_vocab, max_input_length,
                            batch_size)
-    with ad.no_grad():
+    with ad.no_grad(), _finite("classifying"):
         _, probs = model.classify(ad.constant(projected))
     preds = []
     for rec, p in zip(records, probs.data[:, 0]):

@@ -146,9 +146,8 @@ class DualEncoderModel:
                 q = ad.matmul(xn, P[f"{tag}.block{b}.head{h}.wq"])
                 k = ad.matmul(xn, P[f"{tag}.block{b}.head{h}.wk"])
                 v = ad.matmul(xn, P[f"{tag}.block{b}.head{h}.wv"])
-                scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt_dh)
-                out = ad.matmul(ad.row_softmax(scores), v)
-                out = ad.matmul(out, P[f"{tag}.block{b}.head{h}.wo"])
+                out = ad.matmul(ad.attention(q, k, v, inv_sqrt_dh),
+                                P[f"{tag}.block{b}.head{h}.wo"])
                 attn = out if attn is None else ad.add(attn, out)
             x = ad.add(x, ad.add(attn, P[f"{tag}.block{b}.attn_bias"]))
             xn = self._rms_norm(x, d)

@@ -152,7 +152,7 @@ def train(records, validation, config, progress=None):
     """Train the dual-encoder model; returns the model (restored to its
     best-validation-F1 epoch if `select_best_f1`) with per-epoch logs, and
     the loss-log rows."""
-    from .evaluation import predict, compute_metrics
+    from .evaluation import EvalError, predict, compute_metrics
 
     w = config.weights
     reads_text = max(w.clip_orig, w.consistency) > 0
@@ -244,7 +244,7 @@ def train(records, validation, config, progress=None):
             epoch_start = len(log_rows)
             if progress:
                 progress(epoch, epoch_logs[-1])
-    except ad.NonFiniteError as exc:
+    except (ad.NonFiniteError, EvalError) as exc:  # EvalError: in predict
         raise TrainError(f"training diverged at epoch {epoch}, step "
                          f"{step}: {exc}") from exc
 
@@ -333,6 +333,8 @@ def load_checkpoint(path):
                 raise CheckpointError(
                     f"shape or dtype mismatch for parameter {name}: "
                     f"{arr.dtype}{list(arr.shape)}")
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"non-finite value in parameter {name}")
         if members:
             raise CheckpointError(f"unknown parameter: {sorted(members)[0]}")
         model = DualEncoderModel(config, None, seed=manifest["seed"])

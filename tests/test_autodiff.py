@@ -247,6 +247,9 @@ PRIMITIVE_CASES = {
     "concat-rows": lambda x, y: ad.sum_all(
         ad.mul(ad.concat_rows([x, y]), ad.concat_rows([y, x]))),
     "clamp": lambda x, y: ad.sum_all(ad.clamp(x, -0.9, 0.9)),
+    # q = x, k = y and v = x * y, so the check reaches all three inputs
+    "attention": lambda x, y: ad.sum_all(
+        ad.mul(ad.attention(x, y, ad.mul(x, y), 0.7), y)),
 }
 
 
@@ -300,3 +303,69 @@ def test_softmax_rows_sum_to_one(values):
 def test_l2_normalize_rows_unit_norm(values):
     out = ad.row_l2_normalize(ad.Tensor(np.array([values])))
     assert abs(np.linalg.norm(out.data) - 1.0) < 1e-12
+
+
+def attention_chain(q, k, v, c):
+    """The five-node composition that `attention` fuses."""
+    return ad.matmul(ad.row_softmax(ad.scale(ad.matmul(q, ad.transpose(k)),
+                                             c)), v)
+
+
+class TestAttention:
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.integers(1, 40), dh=st.integers(1, 8),
+           c=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_chain(self, length, dh, c, seed):
+        rng = np.random.default_rng(seed)
+        data = [rng.normal(size=(length, dh)) for _ in range(3)]
+        weight = ad.constant(rng.normal(size=(length, dh)))
+        outs, grads = [], []
+        for op in (attention_chain, ad.attention):
+            q, k, v = (p(d.copy(), name) for d, name in zip(data, "qkv"))
+            out = op(q, k, v, c)
+            ad.backward(ad.sum_all(ad.mul(out, weight)))
+            outs.append(out.data)
+            grads.append([q.grad, k.grad, v.grad])
+        assert np.array_equal(outs[0], outs[1])
+        for want, got in zip(*grads):
+            assert np.max(np.abs(want - got)) <= 1e-12
+
+    @pytest.mark.parametrize("q,k", [
+        # one score of -inf in a row whose maximum is finite: softmax
+        # would turn it into a probability of 0 and pass
+        ([[1e200], [1.0]], [[-1e200], [1.0]]),
+        ([[1e200], [1.0]], [[1e200], [1.0]]),   # one score of +inf
+        ([[np.nan], [1.0]], [[1.0], [1.0]]),    # a NaN input
+    ], ids=["-inf score", "+inf score", "nan input"])
+    def test_non_finite_scores_raise_as_in_the_chain(self, q, k):
+        v = [[1.0], [2.0]]
+        for op in (attention_chain, ad.attention):
+            # the overflow is the point; callers silence numpy as here
+            with np.errstate(over="ignore"), \
+                    pytest.raises(ad.NonFiniteError):
+                op(p(q), p(k), p(v), 1.0)
+
+    def test_shape_error_names_primitive(self):
+        with pytest.raises(ad.ShapeError, match="attention"):
+            ad.attention(p(np.ones((2, 3))), p(np.ones((2, 4))),
+                         p(np.ones((2, 4))), 1.0)
+
+
+def gelu_reference(x):
+    """The tanh-form GELU and its derivative as whole-array expressions,
+    in the kernel's order."""
+    t = np.tanh(ad.GELU_SCALE * (x + ad.GELU_CUBIC * (x * x) * x))
+    du = ad.GELU_SCALE * (1.0 + 3.0 * ad.GELU_CUBIC * (x * x))
+    return (0.5 * x * (1.0 + t),
+            0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
+def test_gelu_bit_equal_to_the_formula(values):
+    x = p([values])
+    y = ad.gelu(x)
+    ad.backward(ad.sum_all(y))
+    value, slope = gelu_reference(x.data)
+    assert np.array_equal(y.data, value)
+    assert np.array_equal(x.grad, slope)

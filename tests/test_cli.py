@@ -10,7 +10,7 @@ import pytest
 from vulcontrast import cli
 from vulcontrast.cli import (EXIT_CONTRACT, EXIT_IO, EXIT_OK, _CONFIG_TYPES,
                              _build_train_config, build_parser, run)
-from vulcontrast.data import DatasetError, load_jsonl
+from vulcontrast.data import DatasetError, Vocabulary, load_jsonl
 from vulcontrast.training import TrainConfig, load_checkpoint, save_checkpoint
 
 
@@ -422,6 +422,33 @@ class TestEval:
                     "--input", str(workdir / "part.test.jsonl")]) \
             == EXIT_CONTRACT
         assert "without a code vocabulary" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def overflowing(workdir):
+    """A valid checkpoint whose every weight is 1e200."""
+    model, manifest = load_checkpoint(str(workdir / "model"))
+    for p in model.params.values():
+        p.data[...] = 1e200
+    vocab = Vocabulary({tok: i for i, tok in enumerate(manifest["code_vocab"])},
+                       "code")
+    save_checkpoint(model, str(workdir / "overflow"), code_vocab=vocab)
+    return workdir / "overflow"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,flags", [
+    ("eval", []), ("pca-export", ["--output", "pca-overflow.csv"]),
+    ("bench-latency", [])])
+def test_overflowing_checkpoint_exits_naming_the_record(
+        workdir, overflowing, capsys, command, flags):
+    records = load_jsonl(str(workdir / "part.test.jsonl"))
+    flags = [str(workdir / f) if f.endswith(".csv") else f for f in flags]
+    assert run([command, "--checkpoint", str(overflowing),
+                "--input", str(workdir / "part.test.jsonl")] + flags) \
+        == EXIT_CONTRACT
+    assert (f"error: encoding the chunk from record {records[0].id!r}: "
+            "non-finite values") in capsys.readouterr().err
 
 
 class TestOodEval:

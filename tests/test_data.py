@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulcontrast.data import (DatasetError, FunctionRecord, build_vocab,
-                              dataset_stats, encode, load_jsonl, save_jsonl,
-                              stratified_split, tokenize, UNK_ID, PAD_ID)
+from vulcontrast.data import (_CODE_PUNCT, DatasetError, FunctionRecord,
+                              build_vocab, dataset_stats, encode, load_jsonl,
+                              save_jsonl, stratified_split, tokenize, UNK_ID,
+                              PAD_ID)
 from vulcontrast.fixtures import generate_fixture
 
 
@@ -117,6 +118,38 @@ class TestTokenize:
             assert all(tokens)
         else:
             assert tokens == ["<unk>"]
+
+
+def loop_tokenize_code(text):
+    """The per-character code tokenizer that the one regex replaced."""
+    out = []
+    for chunk in text.split():
+        buf = []
+        for ch in chunk:
+            if ch in _CODE_PUNCT:
+                if buf:
+                    out.append("".join(buf))
+                    buf = []
+                out.append(ch)
+            else:
+                buf.append(ch)
+        if buf:
+            out.append("".join(buf))
+    return out or ["<unk>"]
+
+
+# every punctuation character, ASCII and Unicode whitespace (str.split's
+# set, which includes the information separators), a few letters
+CODE_ALPHABET = st.sampled_from(
+    sorted(_CODE_PUNCT) + list(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000")
+    + list("ab_0é字"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(CODE_ALPHABET), st.text(), st.sampled_from(
+    ["", " ", "\x0b\x1c\xa0\u3000", "\t\n "])))
+def test_code_tokenizer_equals_the_per_character_loop(text):
+    assert tokenize(text, "code") == loop_tokenize_code(text)
 
 
 class TestVocab:

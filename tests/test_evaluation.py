@@ -155,6 +155,16 @@ class TestPredict:
         with pytest.raises(EvalError, match="empty record list"):
             embed_code(model, [], vocab)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_classifier_raises_eval_error(self, small_model):
+        model, records, vocab = small_model
+        cfg = model.code_config
+        big = DualEncoderModel(cfg, None, seed=1)
+        for name in ("cls.w1", "cls.w2"):
+            big.params[name].data[...] = 1e200
+        with pytest.raises(EvalError, match="classifying: non-finite"):
+            predict(big, records[:4], vocab, max_input_length=128)
+
     def test_bad_threshold_rejected(self, small_model):
         model, records, vocab = small_model
         with pytest.raises(EvalError):

@@ -180,6 +180,18 @@ class TestEncode:
         model.encode_batch([seq([1], "text")], "text")
         assert model.text_invocations == 1
 
+    def test_default_config_sequence_builds_74_nodes(self, monkeypatch):
+        # 4 heads x 2 blocks, one attention node each; the five-node
+        # chain it replaced made 106
+        model = DualEncoderModel(EncoderConfig(vocab_size=32), None)
+        built = []
+        node = ad._node
+        monkeypatch.setattr(ad, "_node",
+                            lambda *args: built.append(args[1]) or node(*args))
+        model.encode_batch([seq(range(2, 30))], "code")
+        assert built.count("attention") == 8
+        assert len(built) == 74 + 1  # and the concat_rows joining the rows
+
 
 class TestProject:
     def test_identity_head_normalizes(self):

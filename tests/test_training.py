@@ -340,6 +340,23 @@ class TestTrainLoop:
         preds = predict(result.model, val, result.code_vocab)
         assert compute_metrics(preds).f1 == result.best_f1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_validation_pass_reported_as_divergence(self,
+                                                            monkeypatch):
+        step = AdamOptimizer.step
+
+        def overflowing_step(self):
+            step(self)
+            for p in self.params.values():
+                p.data[...] = 1e200
+        monkeypatch.setattr(AdamOptimizer, "step", overflowing_step)
+        records = small_records(n=8)
+        with pytest.raises(TrainError, match=(
+                "training diverged at epoch 0, step 1: encoding the chunk "
+                f"from record {records[0].id!r}: non-finite")):
+            train(records, records, small_config(
+                epochs=1, batch_size=8, fine_tuning_only=True))
+
     def test_progress_called_once_per_epoch_with_its_log(self):
         calls = []
         result, _ = train(small_records(n=8), [], small_config(),
@@ -597,6 +614,18 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError,
                                match="mismatch for parameter proj.code"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member_rejected(self, tmp_path, value):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(self.make_model(), path)
+
+        def poison(members, manifest):
+            members["code.block0.ff_b1"][0, 3] = value
+        self.doctor(path, poison)
+        with pytest.raises(CheckpointError, match="non-finite value in "
+                           "parameter code.block0.ff_b1"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("tokens", [
         [f"t{i}" for i in range(15)],
