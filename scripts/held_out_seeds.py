@@ -1,22 +1,31 @@
 #!/usr/bin/env python3
-"""Held-out F1 of the train-full benchmark's 10-epoch run, per fixture seed.
+"""Train-full's convergence checks at the criterion-6 config, per fixture seed.
 
     python3 scripts/held_out_seeds.py 1001 1002 1003
 
 For each seed it builds train-full's corpus (`perfbench.workloads.
-train_setup`), runs the criterion-6 `train()` for the configured 10
-epochs with `TRAIN_MODEL_SEED`, and prints the held-out F1 on the test
-split. The train-full workload checks that F1 against `HELD_OUT_F1_MIN`
-only when one of its `train()` calls finishes all 10 epochs within the
-budget, so a faster trainer makes the check run on more seeds. The exit
-code is 1 if any seed scores below the bar. Each seed takes about 45 s on
-a 2-core host.
+train_setup`) and runs the criterion-6 `train()` for the configured 10
+epochs with `TRAIN_MODEL_SEED`, twice: with the full objective and with
+fine-tuning only. It prints, against each bar:
+
+- the full objective's held-out F1 on the test split, against
+  `HELD_OUT_F1_MIN`, which train-full checks after every `train()` call
+  that finishes all 10 epochs within the budget;
+- the fine-tuning-only held-out F1, against criterion 6's 0.90;
+- the fall of the full objective's mean total loss from epoch 1 to epoch
+  3, against `LOSS_DROP_MIN`, which train-full checks on every call of at
+  least 3 epochs. The rate is constant and every draw is keyed by epoch,
+  so the first 3 epochs of the 10-epoch call are exactly a 3-epoch call.
+
+The exit code is 1 if any seed misses any bar. Each seed takes about 30 s
+on a 2-core host.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -29,17 +38,23 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from perfbench.workloads import (HELD_OUT_F1_MIN,  # noqa: E402
+                                 LOSS_DROP_MIN, TRAIN_MIN_EPOCHS,
                                  TRAIN_MODEL_SEED, train_setup)
 from vulcontrast import evaluation, training  # noqa: E402
 
+FINE_TUNING_F1_MIN = 0.90   # criterion 6, fine-tuning only
 
-def held_out_f1(seed):
-    """Train-full's held-out F1 after a full `train()` call on `seed`."""
-    state = train_setup(seed)
-    config = training.TrainConfig(seed=TRAIN_MODEL_SEED)
+
+def held_out(state, fine_tuning_only):
+    """Held-out F1 after a full `train()` call, and the per-epoch mean
+    total losses."""
+    config = training.TrainConfig(seed=TRAIN_MODEL_SEED,
+                                  fine_tuning_only=fine_tuning_only)
     result, _ = training.train(state.train, state.validation, config)
     preds = evaluation.predict(result.model, state.test, result.code_vocab)
-    return evaluation.compute_metrics(preds).f1
+    losses = [statistics.fmean(bd.total for _, bd, _ in log.steps)
+              for log in result.epoch_logs]
+    return evaluation.compute_metrics(preds).f1, losses
 
 
 def main(argv=None):
@@ -47,19 +62,30 @@ def main(argv=None):
     parser.add_argument("seeds", nargs="+", type=int, metavar="SEED",
                         help="fixture seeds, as perfbench/run.py --seed")
     args = parser.parse_args(argv)
-    below = []
-    print(f"{'seed':>6}  {'held-out F1':>11}  {'seconds':>7}")
+    bars = (("full F1", HELD_OUT_F1_MIN), ("fine-tuning F1",
+                                           FINE_TUNING_F1_MIN),
+            (f"{TRAIN_MIN_EPOCHS}-epoch drop", LOSS_DROP_MIN))
+    missed = {name: [] for name, _ in bars}
+    print(f"{'seed':>6}" + "".join(f"  {name:>14}" for name, _ in bars)
+          + f"  {'seconds':>7}")
     for seed in args.seeds:
         t0 = time.perf_counter()
-        f1 = held_out_f1(seed)
-        mark = "" if f1 >= HELD_OUT_F1_MIN else f"  below {HELD_OUT_F1_MIN}"
-        print(f"{seed:>6}  {f1:>11.3f}  {time.perf_counter() - t0:>7.1f}"
-              f"{mark}", flush=True)
-        if mark:
-            below.append(seed)
-    print(f"{len(below)} of {len(args.seeds)} seeds below "
-          f"{HELD_OUT_F1_MIN}: {below}")
-    return 1 if below else 0
+        state = train_setup(seed)
+        full, losses = held_out(state, fine_tuning_only=False)
+        tuned, _ = held_out(state, fine_tuning_only=True)
+        drop = 1.0 - losses[TRAIN_MIN_EPOCHS - 1] / losses[0]
+        line, marks = f"{seed:>6}", []
+        for (name, bar), value in zip(bars, (full, tuned, drop)):
+            line += f"  {value:>14.3f}"
+            if value < bar:
+                missed[name].append(seed)
+                marks.append(f"{name} below {bar}")
+        print(f"{line}  {time.perf_counter() - t0:>7.1f}  {'; '.join(marks)}",
+              flush=True)
+    for name, bar in bars:
+        print(f"{name}: {len(missed[name])} of {len(args.seeds)} seeds "
+              f"below {bar}: {missed[name]}")
+    return 1 if any(missed.values()) else 0
 
 
 if __name__ == "__main__":

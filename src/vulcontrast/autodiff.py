@@ -1,10 +1,12 @@
 """Minimal reverse-mode autodiff over dense float64 matrices.
 
 Everything is a 2-D array; scalars are shape (1, 1). The primitive set is
-exactly what the training objectives need: matmul, elementwise arithmetic,
-exp/log, softmax/log-sum-exp per row, one head of scaled dot-product
-attention (`attention`), l2 normalization, pooling, embedding lookup,
-sigmoid/gelu, row concatenation and a clamp.
+what the training objectives need: matmul, elementwise arithmetic,
+exp/log, log-sum-exp per row, multi-head scaled dot-product attention
+over row-stacked segments (`attention`), l2 normalization, the mean of
+each segment (`segment_mean_pool`), embedding lookup, sigmoid/gelu, row
+concatenation and a clamp. `row_softmax` and `mean_pool_rows` have no
+caller in the package; `perfbench`'s tracer looks them up by name.
 
 Inside `no_grad()` the primitives compute values but record no graph, and
 `backward` releases each node's graph as it walks it, so a graph can be
@@ -73,7 +75,7 @@ def parameter(data, name):
 
 
 def _check_finite(arr, op):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by {op}")
     return arr
 
@@ -240,37 +242,71 @@ def row_softmax(a):
     return _node(y, "row-softmax", (a,), backward)
 
 
-def attention(q, k, v, c):
-    """`softmax(c · q kᵀ) v` as one node: one head of scaled dot-product
-    attention. It computes what `matmul(row_softmax(scale(matmul(q,
-    transpose(k)), c)), v)` does, operation for operation, so values and
-    gradients are the same bits; the L×L buffer is reused in place."""
+def attention(qkv, lengths, heads, c):
+    """Multi-head scaled dot-product attention over packed segments, as one
+    node. `qkv` stacks the segments' rows, `lengths` in order, and holds
+    the queries, keys and values side by side, each split into `heads`
+    equal column blocks. Each segment attends only to itself: per segment
+    it forms the `(heads, L, L)` scores, never a cross-segment block, and
+    returns `softmax(c · q kᵀ) v` with the heads side by side again.
+
+    The kernel scales q rather than the scores, divides `exp · v` rather
+    than `exp` by the row sums, and takes the backward pass's row sums of
+    `dprobs · probs` as the row dot products of the gradient and the
+    output (as FlashAttention does), so that each segment makes as few
+    passes over its L×L arrays as it can."""
     c = float(c)
-    if (q.data.shape[1] != k.data.shape[1]
-            or k.data.shape[0] != v.data.shape[0]):
-        raise ShapeError(f"attention: q {q.data.shape}, k {k.data.shape}, "
-                         f"v {v.data.shape}")
-    probs = q.data @ k.data.T
-    probs *= c
-    top = probs.max(axis=1, keepdims=True)
-    # a NaN or +inf shows in the row maxima; a lone -inf only in the minimum
-    if not (np.all(np.isfinite(top)) and np.isfinite(probs.min())):
-        raise NonFiniteError("non-finite values produced by attention scores")
-    probs -= top
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
+    rows, cols = qkv.data.shape
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if (heads < 1 or cols % (3 * heads) or lengths.size < 1
+            or lengths.min() < 1 or lengths.sum() != rows):
+        raise ShapeError(f"attention: qkv {qkv.data.shape}, {heads} heads, "
+                         f"segments of {lengths.tolist()} rows")
+    dh = cols // (3 * heads)
+    # (heads, rows, dh) per part, and the keys as (heads, dh, rows)
+    split = qkv.data.reshape(rows, 3, heads, dh).transpose(1, 2, 0, 3)
+    q = split[0] * c
+    k_t = np.ascontiguousarray(split[1].transpose(0, 2, 1))
+    v = np.ascontiguousarray(split[2])
+    out = np.empty((heads, rows, dh))
+    segments = [slice(hi - n, hi) for hi, n in zip(np.cumsum(lengths),
+                                                   lengths)]
+    probs = []
+    for seg in segments:
+        p = q[:, seg] @ k_t[:, :, seg]
+        top = p.max(axis=2, keepdims=True)
+        # a NaN or +inf shows in the row maxima; a lone -inf only in the
+        # minimum
+        if not (np.isfinite(top).all() and np.isfinite(p.min())):
+            raise NonFiniteError(
+                "non-finite values produced by attention scores")
+        p -= top
+        np.exp(p, out=p)
+        total = p.sum(axis=2, keepdims=True)
+        np.matmul(p, v[:, seg], out=out[:, seg])
+        out[:, seg] /= total
+        if _grad_enabled:
+            p /= total
+            probs.append(p)
+        del p  # freed before the next segment's scores are made
 
     def backward(g):
-        dp = g @ v.data.T
-        dot = (dp * probs).sum(axis=1, keepdims=True)
-        dp -= dot
-        dp *= probs
-        dp *= c
-        _accum(q, dp @ k.data)
-        _accum(k, (q.data.T @ dp).T)
-        _accum(v, probs.T @ g)
+        g = g.reshape(rows, heads, dh).transpose(1, 0, 2)
+        dots = (g * out).sum(axis=2, keepdims=True)
+        grad = np.empty((3, heads, rows, dh))
+        for seg, p in zip(segments, probs):
+            dp = g[:, seg] @ v[:, seg].transpose(0, 2, 1)
+            dp -= dots[:, seg]
+            dp *= p
+            np.matmul(dp, k_t[:, :, seg].transpose(0, 2, 1),
+                      out=grad[0, :, seg])
+            np.matmul(dp.transpose(0, 2, 1), q[:, seg], out=grad[1, :, seg])
+            np.matmul(p.transpose(0, 2, 1), g[:, seg], out=grad[2, :, seg])
+        grad[0] *= c
+        _accum(qkv, grad.transpose(2, 0, 1, 3).reshape(rows, cols))
 
-    return _node(probs @ v.data, "attention", (q, k, v), backward)
+    return _node(out.transpose(1, 0, 2).reshape(rows, cols // 3),
+                 "attention", (qkv,), backward)
 
 
 def row_logsumexp(a):
@@ -409,6 +445,23 @@ def concat_rows(tensors):
             _accum(t, g[lo:hi])
 
     return _node(y, "concat-rows", tuple(tensors), backward)
+
+
+def segment_mean_pool(a, lengths):
+    """One row per segment, the mean of its rows; the segments, of
+    `lengths` rows in order, tile the rows of `a`."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if (lengths.size < 1 or lengths.min() < 1
+            or lengths.sum() != a.data.shape[0]):
+        raise ShapeError(f"segment-mean-pool: {a.data.shape[0]} rows, "
+                         f"segments of {lengths.tolist()} rows")
+    n = lengths[:, None]
+    y = np.add.reduceat(a.data, np.cumsum(lengths) - lengths, axis=0) / n
+
+    def backward(g):
+        _accum(a, np.repeat(g / n, lengths, axis=0))
+
+    return _node(y, "segment-mean-pool", (a,), backward)
 
 
 def constant(data):

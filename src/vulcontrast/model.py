@@ -3,8 +3,15 @@ a learnable logit scale and the binary classifier head.
 
 Each encoder is a small pre-norm transformer: embedding lookup, N blocks of
 multi-head self-attention + feed-forward, mean pooling over the sequence.
-Sequences are processed at their own length, so padding never enters the
-computation.
+
+An encoder call packs its sequences: consecutive sequences are stacked
+row-wise into groups of at most `ROW_BUDGET` rows (a longer sequence is a
+group of its own), and each group runs as one graph of whole-group nodes.
+Attention sees each sequence's own rows only, and a pooling node takes
+each sequence's mean as soon as its group is encoded, so every sequence is
+encoded at its own length and padding never enters the computation. The
+budget keeps a group's activations small enough to stay in cache, and
+pooling each group at once frees them before the next group.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ LOGIT_SCALE_INIT = 14.0
 LOGIT_SCALE_MIN = 1.0
 LOGIT_SCALE_MAX = 100.0
 INIT_STD = 0.02
+ROW_BUDGET = 512  # rows per packed group; see the module docstring
 
 
 class ModelError(ValueError):
@@ -61,14 +69,13 @@ def parameter_table(code_config, text_config=None):
     for tag, cfg in (("code", code_config), ("text", text_config)):
         if cfg is None:
             return
-        d, dh, ff = cfg.embed_dim, cfg.embed_dim // cfg.num_heads, cfg.ff_dim
+        d, ff = cfg.embed_dim, cfg.ff_dim
         yield f"{tag}.embed", (cfg.vocab_size, d), None
         yield f"{tag}.pos", (cfg.max_input_length, d), None
         for b in range(cfg.num_blocks):
-            for h in range(cfg.num_heads):
-                for part in ("wq", "wk", "wv"):
-                    yield f"{tag}.block{b}.head{h}.{part}", (d, dh), None
-                yield f"{tag}.block{b}.head{h}.wo", (dh, d), None
+            # the query, key and value columns, each `num_heads` blocks
+            yield f"{tag}.block{b}.wqkv", (d, 3 * d), None
+            yield f"{tag}.block{b}.wo", (d, d), None
             yield f"{tag}.block{b}.attn_bias", (1, d), 0.0
             yield f"{tag}.block{b}.ff_w1", (d, ff), None
             yield f"{tag}.block{b}.ff_b1", (1, ff), 0.0
@@ -120,10 +127,8 @@ class DualEncoderModel:
     def _rms_norm(self, x, dim):
         return ad.scale(ad.row_l2_normalize(x), math.sqrt(dim))
 
-    def _encode_one(self, tag, cfg, ids):
-        ids = [i for i in ids if i != PAD_ID]
-        if not ids:
-            ids = [0]
+    def _checked_ids(self, cfg, tokens):
+        ids = [i for i in tokens if i != PAD_ID] or [0]
         if max(ids) >= cfg.vocab_size:
             raise ModelError(
                 f"token id {max(ids)} out of range for vocabulary of size "
@@ -132,30 +137,30 @@ class DualEncoderModel:
             raise ModelError(
                 f"sequence length {len(ids)} exceeds max input length "
                 f"{cfg.max_input_length}")
+        return ids
+
+    def _encode_group(self, tag, cfg, ids, lengths):
+        """Pooled hidden rows of the sequences stacked in `ids`, of
+        `lengths` rows each."""
         P = self.params
-        x = ad.embedding_lookup(P[f"{tag}.embed"], ids)
-        pos = ad.embedding_lookup(P[f"{tag}.pos"], list(range(len(ids))))
-        x = ad.add(x, pos)
+        positions = np.arange(len(ids)) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths)
+        x = ad.add(ad.embedding_lookup(P[f"{tag}.embed"], ids),
+                   ad.embedding_lookup(P[f"{tag}.pos"], positions))
         d = cfg.embed_dim
-        dh = d // cfg.num_heads
-        inv_sqrt_dh = 1.0 / math.sqrt(dh)
+        inv_sqrt_dh = 1.0 / math.sqrt(d // cfg.num_heads)
         for b in range(cfg.num_blocks):
-            xn = self._rms_norm(x, d)
-            attn = None
-            for h in range(cfg.num_heads):
-                q = ad.matmul(xn, P[f"{tag}.block{b}.head{h}.wq"])
-                k = ad.matmul(xn, P[f"{tag}.block{b}.head{h}.wk"])
-                v = ad.matmul(xn, P[f"{tag}.block{b}.head{h}.wv"])
-                out = ad.matmul(ad.attention(q, k, v, inv_sqrt_dh),
-                                P[f"{tag}.block{b}.head{h}.wo"])
-                attn = out if attn is None else ad.add(attn, out)
+            qkv = ad.matmul(self._rms_norm(x, d), P[f"{tag}.block{b}.wqkv"])
+            attn = ad.matmul(
+                ad.attention(qkv, lengths, cfg.num_heads, inv_sqrt_dh),
+                P[f"{tag}.block{b}.wo"])
             x = ad.add(x, ad.add(attn, P[f"{tag}.block{b}.attn_bias"]))
             xn = self._rms_norm(x, d)
             hdn = ad.gelu(ad.add(ad.matmul(xn, P[f"{tag}.block{b}.ff_w1"]),
                                  P[f"{tag}.block{b}.ff_b1"]))
             x = ad.add(x, ad.add(ad.matmul(hdn, P[f"{tag}.block{b}.ff_w2"]),
                                  P[f"{tag}.block{b}.ff_b2"]))
-        return ad.mean_pool_rows(x)
+        return ad.segment_mean_pool(x, lengths)
 
     def _check_modality(self, modality):
         if modality not in ("code", "text"):
@@ -167,11 +172,24 @@ class DualEncoderModel:
         """Hidden matrix, one row per input sequence."""
         self._check_modality(modality)
         cfg = self.code_config if modality == "code" else self.text_config
-        tag = modality
-        rows = [self._encode_one(tag, cfg, seq.tokens) for seq in sequences]
+        ids = [self._checked_ids(cfg, seq.tokens) for seq in sequences]
+        if not ids:
+            raise ModelError("encode_batch: no sequences")
+        lengths = np.array([len(i) for i in ids])
+        groups, start, rows = [], 0, 0
+        for i, n in enumerate(lengths):
+            if rows and rows + n > ROW_BUDGET:
+                groups.append((start, i))
+                start, rows = i, 0
+            rows += n
+        groups.append((start, len(ids)))
+        pooled = [self._encode_group(modality, cfg,
+                                     np.concatenate(ids[lo:hi]),
+                                     lengths[lo:hi])
+                  for lo, hi in groups]
         if modality == "text":
             self.text_invocations += 1
-        return ad.concat_rows(rows)
+        return ad.concat_rows(pooled)
 
     def project(self, hidden, modality):
         self._check_modality(modality)

@@ -20,7 +20,7 @@ from .losses import LossWeights, similarity_matrix, total_loss
 from .model import (LOGIT_SCALE_INIT, DualEncoderModel, EncoderConfig,
                     parameter_table)
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -40,7 +40,7 @@ class CheckpointError(RuntimeError):
 class TrainConfig:
     batch_size: int = 8
     epochs: int = 10
-    learning_rate: float = 3e-5
+    learning_rate: float = 1e-4
     weight_decay: float = 1e-4
     weights: LossWeights = field(default_factory=LossWeights)
     alpha: float = 0.05
@@ -80,6 +80,11 @@ class TrainConfig:
             num_blocks=self.num_blocks, num_heads=self.num_heads,
             ff_dim=self.ff_dim, max_input_length=self.max_input_length,
             proj_dim=self.proj_dim)
+
+
+# The dataclass leaves the InitVar's default on the class, where it would
+# read back as False whatever was passed; only the weights record it.
+del TrainConfig.fine_tuning_only
 
 
 class AdamOptimizer:

@@ -247,9 +247,13 @@ PRIMITIVE_CASES = {
     "concat-rows": lambda x, y: ad.sum_all(
         ad.mul(ad.concat_rows([x, y]), ad.concat_rows([y, x]))),
     "clamp": lambda x, y: ad.sum_all(ad.clamp(x, -0.9, 0.9)),
-    # q = x, k = y and v = x * y, so the check reaches all three inputs
-    "attention": lambda x, y: ad.sum_all(
-        ad.mul(ad.attention(x, y, ad.mul(x, y), 0.7), y)),
+    # one head over a one-row and a two-row segment; its q, k and v are
+    # the columns of x * y
+    "attention": lambda x, y: ad.sum_all(ad.matmul(
+        ad.transpose(ad.attention(ad.mul(x, y), [1, 2], 1, 0.7)), y)),
+    # a one-row and a two-row segment, in both orders
+    "segment-mean-pool": lambda x, y: ad.sum_all(ad.mul(
+        ad.segment_mean_pool(x, [1, 2]), ad.segment_mean_pool(y, [2, 1]))),
 }
 
 
@@ -306,9 +310,33 @@ def test_l2_normalize_rows_unit_norm(values):
 
 
 def attention_chain(q, k, v, c):
-    """The five-node composition that `attention` fuses."""
+    """The five-node composition that one head of one segment replaced."""
     return ad.matmul(ad.row_softmax(ad.scale(ad.matmul(q, ad.transpose(k)),
                                              c)), v)
+
+
+def attention_reference(qkv, lengths, heads, c):
+    """Segmented multi-head attention in plain numpy, one head of one
+    segment at a time."""
+    d = qkv.shape[1] // 3
+    dh = d // heads
+    out = np.zeros((qkv.shape[0], d))
+    lo = 0
+    for n in lengths:
+        rows = slice(lo, lo + n)
+        for h in range(heads):
+            q, k, v = (qkv[rows, part * d + h * dh:part * d + (h + 1) * dh]
+                       for part in range(3))
+            scores = c * (q @ k.T)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            out[rows, h * dh:(h + 1) * dh] = \
+                (e / e.sum(axis=1, keepdims=True)) @ v
+        lo += n
+    return out
+
+
+# segment lengths, one-row segments included
+segment_lengths = st.lists(st.integers(1, 6), min_size=1, max_size=5)
 
 
 class TestAttention:
@@ -316,19 +344,35 @@ class TestAttention:
     @given(length=st.integers(1, 40), dh=st.integers(1, 8),
            c=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_the_chain(self, length, dh, c, seed):
+        # one segment and one head against the five-node chain
         rng = np.random.default_rng(seed)
         data = [rng.normal(size=(length, dh)) for _ in range(3)]
         weight = ad.constant(rng.normal(size=(length, dh)))
-        outs, grads = [], []
-        for op in (attention_chain, ad.attention):
-            q, k, v = (p(d.copy(), name) for d, name in zip(data, "qkv"))
-            out = op(q, k, v, c)
-            ad.backward(ad.sum_all(ad.mul(out, weight)))
-            outs.append(out.data)
-            grads.append([q.grad, k.grad, v.grad])
-        assert np.array_equal(outs[0], outs[1])
-        for want, got in zip(*grads):
-            assert np.max(np.abs(want - got)) <= 1e-12
+        q, k, v = (p(d.copy(), name) for d, name in zip(data, "qkv"))
+        want = attention_chain(q, k, v, c)
+        ad.backward(ad.sum_all(ad.mul(want, weight)))
+        qkv = p(np.hstack(data), "qkv")
+        got = ad.attention(qkv, [length], 1, c)
+        ad.backward(ad.sum_all(ad.mul(got, weight)))
+        assert np.max(np.abs(want.data - got.data)) <= 1e-12
+        assert np.max(np.abs(np.hstack([q.grad, k.grad, v.grad])
+                             - qkv.grad)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=segment_lengths, heads=st.integers(1, 3),
+           dh=st.integers(1, 3), c=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_numpy_per_segment_and_head(self, lengths, heads, dh, c,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        qkv = p(rng.normal(size=(sum(lengths), 3 * heads * dh)), "qkv")
+        weight = ad.constant(rng.normal(size=(sum(lengths), heads * dh)))
+        got = ad.attention(qkv, lengths, heads, c).data
+        want = attention_reference(qkv.data, lengths, heads, c)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        err = ad.grad_check(lambda: ad.sum_all(ad.mul(
+            ad.attention(qkv, lengths, heads, c), weight)), [qkv])
+        assert err < 1e-4
 
     @pytest.mark.parametrize("q,k", [
         # one score of -inf in a row whose maximum is finite: softmax
@@ -339,16 +383,53 @@ class TestAttention:
     ], ids=["-inf score", "+inf score", "nan input"])
     def test_non_finite_scores_raise_as_in_the_chain(self, q, k):
         v = [[1.0], [2.0]]
-        for op in (attention_chain, ad.attention):
-            # the overflow is the point; callers silence numpy as here
-            with np.errstate(over="ignore"), \
-                    pytest.raises(ad.NonFiniteError):
-                op(p(q), p(k), p(v), 1.0)
+        # the overflow is the point; callers silence numpy as here
+        with np.errstate(over="ignore"):
+            with pytest.raises(ad.NonFiniteError):
+                attention_chain(p(q), p(k), p(v), 1.0)
+            # behind a finite segment, as the second of a batch
+            qkv = p(np.vstack([[[0.5, 0.5, 0.5]], np.hstack([q, k, v])]))
+            with pytest.raises(ad.NonFiniteError, match="attention"):
+                ad.attention(qkv, [1, 2], 1, 1.0)
 
     def test_shape_error_names_primitive(self):
-        with pytest.raises(ad.ShapeError, match="attention"):
-            ad.attention(p(np.ones((2, 3))), p(np.ones((2, 4))),
-                         p(np.ones((2, 4))), 1.0)
+        for cols, lengths, heads in [
+                (4, [2], 1),        # not three equal parts
+                (6, [2], 4),        # not `heads` blocks per part
+                (6, [1], 1),        # segments shorter than the rows
+                (6, [1, 2], 1),     # and longer
+                (6, [2, 0], 1),     # an empty segment
+                (6, [], 1)]:
+            with pytest.raises(ad.ShapeError, match="attention"):
+                ad.attention(p(np.ones((2, cols))), lengths, heads, 1.0)
+
+
+class TestSegmentMeanPool:
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=segment_lengths, cols=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_numpy_means(self, lengths, cols, seed):
+        rng = np.random.default_rng(seed)
+        x = p(rng.normal(size=(sum(lengths), cols)), "x")
+        weight = ad.constant(rng.normal(size=(len(lengths), cols)))
+        got = ad.segment_mean_pool(x, lengths).data
+        bounds = np.cumsum([0] + lengths)
+        want = np.array([x.data[lo:hi].mean(axis=0)
+                         for lo, hi in zip(bounds[:-1], bounds[1:])])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        err = ad.grad_check(lambda: ad.sum_all(ad.mul(
+            ad.segment_mean_pool(x, lengths), weight)), [x])
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("lengths", [
+        [2],        # segments shorter than the rows
+        [2, 2],     # and longer
+        [3, 0],     # an empty segment
+        [],
+    ])
+    def test_shape_error_names_primitive(self, lengths):
+        with pytest.raises(ad.ShapeError, match="segment-mean-pool"):
+            ad.segment_mean_pool(p(np.ones((3, 2))), lengths)
 
 
 def gelu_reference(x):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from vulcontrast.comments import ProviderConfig, attach_comments
-from vulcontrast.data import FunctionRecord, build_vocab
+from vulcontrast.data import FunctionRecord, build_vocab, tokenize
 from vulcontrast.evaluation import (EvalError, Prediction, PredictionSet,
                                     compute_metrics, embed_code,
                                     false_negative_analysis, latency_bench,
                                     pca_project, predict)
 from vulcontrast.fixtures import generate_fixture
-from vulcontrast.model import DualEncoderModel, EncoderConfig
+from vulcontrast.model import ROW_BUDGET, DualEncoderModel, EncoderConfig
 
 
 def make_preds(pairs, method="m", threshold=0.5):
@@ -141,6 +141,25 @@ class TestPredict:
         probs_a = [p.probability for p in a.predictions]
         probs_b = [p.probability for p in b.predictions]
         assert np.allclose(probs_a, probs_b, atol=1e-9)
+
+    def test_batch_1_and_32_agree_across_packed_groups(self):
+        # 32 functions of about 46 tokens fill several packed groups, and
+        # one of 13 functions joined is a group of its own, past the budget
+        records = generate_fixture(n=45, seed=6)
+        records[5] = FunctionRecord(
+            id="long", label=1, code=" ".join(r.code for r in records[32:]))
+        records = records[:32]
+        vocab = build_vocab(records, "code", 256)
+        lengths = [len(tokenize(r.code, "code")) for r in records]
+        assert sum(lengths) > 2 * ROW_BUDGET and max(lengths) > ROW_BUDGET
+        cfg = EncoderConfig(vocab_size=vocab.size, embed_dim=8, num_blocks=2,
+                            num_heads=2, ff_dim=16, max_input_length=640,
+                            proj_dim=4)
+        model = DualEncoderModel(cfg, None, seed=4)
+        probs = [[p.probability for p in predict(
+            model, records, vocab, batch_size=size).predictions]
+            for size in (1, 32)]
+        assert np.max(np.abs(np.subtract(*probs))) <= 1e-12
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_embed_code_rejects_bad_batch_size(self, small_model, size):

@@ -92,7 +92,7 @@ class TestInit:
                                             num_blocks=10 ** 9))
         assert next(table) == ("code.embed", (10 ** 10, 8), None)
         assert next(table) == ("code.pos", (12, 8), None)
-        assert next(table)[0] == "code.block0.head0.wq"
+        assert next(table)[0] == "code.block0.wqkv"
 
     def test_mismatched_projection_dims_rejected(self):
         with pytest.raises(ModelError, match="projection dimensions"):
@@ -102,8 +102,8 @@ class TestInit:
         a, b = make_model(0), make_model(1)
         assert not np.array_equal(a.params["code.embed"].data[:7],
                                   a.params["text.embed"].data[:7])
-        assert not np.array_equal(a.params["code.block0.head0.wq"].data,
-                                  a.params["code.block0.head0.wk"].data)
+        assert not np.array_equal(a.params["code.block0.wqkv"].data[:, :8],
+                                  a.params["text.block0.wqkv"].data[:, :8])
         assert not np.array_equal(a.params["proj.code"].data,
                                   b.params["proj.code"].data)
 
@@ -180,17 +180,26 @@ class TestEncode:
         model.encode_batch([seq([1], "text")], "text")
         assert model.text_invocations == 1
 
-    def test_default_config_sequence_builds_74_nodes(self, monkeypatch):
-        # 4 heads x 2 blocks, one attention node each; the five-node
-        # chain it replaced made 106
-        model = DualEncoderModel(EncoderConfig(vocab_size=32), None)
+    def test_default_config_call_builds_34_nodes_per_group(self,
+                                                           monkeypatch):
+        # per group: 3 for the embedding, 15 per block (2 blocks) and the
+        # pooling; then one node joining the groups, whatever the batch size
+        model = DualEncoderModel(EncoderConfig(vocab_size=32,
+                                               max_input_length=300), None)
         built = []
         node = ad._node
         monkeypatch.setattr(ad, "_node",
                             lambda *args: built.append(args[1]) or node(*args))
-        model.encode_batch([seq(range(2, 30))], "code")
-        assert built.count("attention") == 8
-        assert len(built) == 74 + 1  # and the concat_rows joining the rows
+        for lengths, groups in [([28], 1), ([28] * 8, 1), ([40] * 32, 3),
+                                ([200, 200, 200], 2), ([256, 256], 1),
+                                ([300], 1), ([300, 1, 300], 2)]:
+            built.clear()
+            model.encode_batch([seq([2 + i % 30 for i in range(n)])
+                                for n in lengths], "code")
+            assert built.count("attention") == 2 * groups, lengths
+            assert built.count("segment-mean-pool") == groups, lengths
+            assert len(built) == 34 * groups + 1, lengths
+            assert built[-1] == "concat-rows"
 
 
 class TestProject:

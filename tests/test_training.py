@@ -164,6 +164,14 @@ class TestConfigAblations:
         assert "fine_tuning_only" not in asdict(cfg)
         assert cfg == small_config(weights=LossWeights(0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_fine_tuning_only_is_not_read_back(self, flag):
+        # a stray read raises rather than returning the class default
+        with pytest.raises(AttributeError, match="fine_tuning_only"):
+            small_config(fine_tuning_only=flag).fine_tuning_only
+        assert TrainConfig(fine_tuning_only=flag).weights.clip_orig == \
+            (0.0 if flag else LossWeights().clip_orig)
+
     def test_disable_aug_alignment(self):
         cfg = small_config(epochs=1, weights=LossWeights(clip_aug=0.0))
         _, rows = train(small_records(n=8), [], cfg)
@@ -484,7 +492,7 @@ class TestCheckpoint:
                          if n.startswith(("code.", "proj.code", "cls."))}
         assert set(manifest) == {"version", "code_config", "seed", "step",
                                  "code_vocab"}
-        assert manifest["version"] == 4
+        assert manifest["version"] == 5
         loaded, _ = load_checkpoint(path)
         assert loaded.text_config is None
         assert not any(n.startswith(("text.", "proj.text", "logit_scale"))
@@ -505,7 +513,8 @@ class TestCheckpoint:
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        for version in (2, 3, 99):
+        # 4 stored each attention head's weights apart
+        for version in (2, 3, 4, 99):
             save_checkpoint(self.make_model(), path)
             self.doctor(path, lambda members, manifest:
                         manifest.update(version=version))
@@ -560,9 +569,8 @@ class TestCheckpoint:
         ("max_input_length", 10 ** 10, "code.pos"),
         ("ff_dim", 10 ** 10, "code.block0.ff_w1"),
         ("proj_dim", 10 ** 10, "proj.code"),
-        ("num_blocks", 10 ** 9, "code.block1.head0.wq"),
-        ("num_heads", 1, "code.block0.head0.wq"),
-        ("num_heads", 4, "code.block0.head0.wq"),
+        ("num_blocks", 10 ** 9, "code.block1.wqkv"),
+        ("embed_dim", 16, "code.embed"),
     ])
     def test_manifest_disagreeing_with_members_rejected_before_drawing(
             self, tmp_path, monkeypatch, capsys, key, value, first):
