@@ -24,7 +24,6 @@ on a 2-core host.
 from __future__ import annotations
 
 import argparse
-import os
 import statistics
 import sys
 import time
@@ -32,9 +31,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Single-threaded BLAS, as the benchmark runs it; set before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from perfbench.workloads import (HELD_OUT_F1_MIN,  # noqa: E402

@@ -40,7 +40,7 @@ class CheckpointError(RuntimeError):
 class TrainConfig:
     batch_size: int = 8
     epochs: int = 10
-    learning_rate: float = 1e-4
+    learning_rate: float = 7e-5
     weight_decay: float = 1e-4
     weights: LossWeights = field(default_factory=LossWeights)
     alpha: float = 0.05

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -171,6 +171,18 @@ class TestConfigAblations:
             small_config(fine_tuning_only=flag).fine_tuning_only
         assert TrainConfig(fine_tuning_only=flag).weights.clip_orig == \
             (0.0 if flag else LossWeights().clip_orig)
+
+    def test_replace_needs_fine_tuning_only_passed(self):
+        # `dataclasses.replace` reads an InitVar it is not given from the
+        # instance, so it raises; passed explicitly, False keeps the weights
+        cfg = small_config(fine_tuning_only=True)
+        with pytest.raises(AttributeError, match="fine_tuning_only"):
+            replace(cfg, epochs=2)
+        tuned = replace(cfg, epochs=2, fine_tuning_only=False)
+        assert (tuned.epochs, tuned.weights) == (2, cfg.weights)
+        full = small_config()
+        assert replace(full, fine_tuning_only=True) == cfg
+        assert replace(full, fine_tuning_only=False) == full
 
     def test_disable_aug_alignment(self):
         cfg = small_config(epochs=1, weights=LossWeights(clip_aug=0.0))
