@@ -77,7 +77,6 @@ def parameter(data, name):
 def _check_finite(arr, op):
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by {op}")
-    return arr
 
 
 def _no_graph(g):
@@ -101,7 +100,8 @@ def no_grad():
 
 
 def _node(data, op, prev, backward):
-    out = Tensor(_check_finite(_as_matrix(data), op))
+    out = Tensor(data)
+    _check_finite(out.data, op)
     if _grad_enabled:
         out._prev, out._backward = prev, backward
     else:
@@ -137,14 +137,11 @@ def _binary_shapes(a, b, op):
 
 
 def _reduce_to(g, shape):
-    if g.shape == shape:
-        return g
-    out = g
     if shape[0] == 1 and g.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and out.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
+        g = g.sum(axis=0, keepdims=True)
+    if shape[1] == 1 and g.shape[1] != 1:
+        g = g.sum(axis=1, keepdims=True)
+    return g
 
 
 def add(a, b):
@@ -369,9 +366,8 @@ def rowwise_sqdist(a, b):
 
 
 def sigmoid(a):
-    y = np.where(a.data >= 0,
-                 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(a.data))
+    y = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         _accum(a, g * y * (1.0 - y))

@@ -99,11 +99,7 @@ class CritiqueTranscript:
 
 
 def _first_sentence(text):
-    text = " ".join(text.split())
-    for i, ch in enumerate(text):
-        if ch == ".":
-            return text[:i + 1]
-    return text + "."
+    return " ".join(text.split()).partition(".")[0] + "."
 
 
 def generate_comment_stub(record):

@@ -20,7 +20,7 @@ _CODE_PUNCT = set('(){}[];,.*&=<>!+-/%"\'\\')
 # whitespace (the whitespace of `str.split`)
 _CODE_TOKEN_RE = re.compile(
     r"[{0}]|[^{0}\s]+".format(re.escape("".join(sorted(_CODE_PUNCT)))))
-_TEXT_TRAIL = set(".,;:")
+_TEXT_TRAIL = ".,;:"
 
 
 class DatasetError(ValueError):
@@ -161,13 +161,10 @@ def tokenize(text, modality):
     elif modality == "text":
         out = []
         for chunk in text.split():
-            tail = []
-            while chunk and chunk[-1] in _TEXT_TRAIL:
-                tail.append(chunk[-1])
-                chunk = chunk[:-1]
-            if chunk:
-                out.append(chunk)
-            out.extend(reversed(tail))
+            word = chunk.rstrip(_TEXT_TRAIL)
+            if word:
+                out.append(word)
+            out.extend(chunk[len(word):])
     else:
         raise ValueError(f"unknown modality {modality!r}")
     if not out:
@@ -196,9 +193,7 @@ def build_vocab(records, modality, max_size):
 def encode(tokens, vocab, max_input_length):
     if max_input_length < 1:
         raise ValueError("encode: max_input_length must be >= 1")
-    ids = [vocab.id_of(t) for t in tokens[:max_input_length]]
-    if not ids:
-        ids = [UNK_ID]
+    ids = [vocab.id_of(t) for t in tokens[:max_input_length]] or [UNK_ID]
     return TokenSequence(tokens=ids, modality=vocab.modality)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,10 +141,8 @@ def compute_metrics(prediction_set):
     preds = prediction_set.predictions
     if not preds:
         raise EvalError("compute_metrics: empty prediction set")
-    tp = sum(1 for p in preds if p.predicted == 1 and p.gold == 1)
-    fp = sum(1 for p in preds if p.predicted == 1 and p.gold == 0)
-    fn = sum(1 for p in preds if p.predicted == 0 and p.gold == 1)
-    tn = sum(1 for p in preds if p.predicted == 0 and p.gold == 0)
+    counts = Counter((p.predicted, p.gold) for p in preds)
+    tp, fp, fn, tn = (counts[k] for k in ((1, 1), (1, 0), (0, 1), (0, 0)))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (2 * precision * recall / (precision + recall)

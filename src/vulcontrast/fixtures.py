@@ -20,9 +20,14 @@ _NAMES = ["copyblock", "parseheader", "readfield", "updatestate",
 _CWES = ["CWE-787", "CWE-119", "CWE-416", "CWE-476", "CWE-703", "CWE-20"]
 
 
+def _pick(rng, options):
+    # one integers(0, len) draw, the draw the seeded corpora were made with
+    return options[rng.integers(0, len(options))]
+
+
 def _noise_token(rng):
     # digits keep noise out of the alphabetic-identifier count
-    return "n" + "".join(rng.choice(list("0123456789"), size=4))
+    return "n" + "".join(map(str, rng.integers(0, 10, size=4)))
 
 
 def _body(rng):
@@ -55,8 +60,8 @@ def generate_fixture(n=400, seed=13):
     records = []
     for i in range(n):
         label = int(i % 2)
-        name = str(rng.choice(_NAMES)) + str(i)
-        header = [str(rng.choice(_RETURN_TYPES)), name, "(", "char", "*",
+        name = _pick(rng, _NAMES) + str(i)
+        header = [_pick(rng, _RETURN_TYPES), name, "(", "char", "*",
                   "buf", ")", "{"]
         body = _body(rng)
         if label == 1:
@@ -68,7 +73,7 @@ def generate_fixture(n=400, seed=13):
         tokens = header + _with_noise(body, rng) + \
             ["return", "0", ";", "}"]
         code = " ".join(tokens)
-        cwe = [str(rng.choice(_CWES))] if label == 1 else None
+        cwe = [_pick(rng, _CWES)] if label == 1 else None
         records.append(FunctionRecord(
             id=f"fx-{i:04d}", code=code, label=label, cwe=cwe,
             project="synthetic"))

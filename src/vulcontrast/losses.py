@@ -108,7 +108,7 @@ def bce_loss(probs, labels):
     y = ad.constant(labels)
     ones = ad.constant(np.ones_like(labels))
     pos = ad.mul(y, ad.log(p))
-    neg = ad.mul(ad.sub(ones, y), ad.log(ad.sub(ones, p)))
+    neg = ad.mul(ad.constant(1.0 - labels), ad.log(ad.sub(ones, p)))
     return ad.scale(ad.mean_all(ad.add(pos, neg)), -1.0)
 
 

@@ -12,6 +12,10 @@ each sequence's mean as soon as its group is encoded, so every sequence is
 encoded at its own length and padding never enters the computation. The
 budget keeps a group's activations small enough to stay in cache, and
 pooling each group at once frees them before the next group.
+
+Until the next checkpoint version, `_checked_ids` still drops id 1
+(`<pad>`) from each sequence and reads a sequence left empty as `<unk>`,
+so a literal `<pad>` word in a remote comment is dropped.
 """
 
 from __future__ import annotations
@@ -129,10 +133,11 @@ class DualEncoderModel:
 
     def _checked_ids(self, cfg, tokens):
         ids = [i for i in tokens if i != PAD_ID] or [0]
-        if max(ids) >= cfg.vocab_size:
-            raise ModelError(
-                f"token id {max(ids)} out of range for vocabulary of size "
-                f"{cfg.vocab_size}")
+        for i in (min(ids), max(ids)):
+            if not 0 <= i < cfg.vocab_size:
+                raise ModelError(
+                    f"token id {i} out of range for vocabulary of size "
+                    f"{cfg.vocab_size}")
         if len(ids) > cfg.max_input_length:
             raise ModelError(
                 f"sequence length {len(ids)} exceeds max input length "

@@ -432,6 +432,21 @@ class TestSegmentMeanPool:
             ad.segment_mean_pool(p(np.ones((3, 2))), lengths)
 
 
+def three_exp_sigmoid(x):
+    """The sigmoid as it was written before `exp(-|x|)` was shared."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-800.0, 800.0), max_size=20))
+def test_sigmoid_bit_equal_to_the_three_exp_form(values):
+    x = [0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 1.0, -1.0, 30.0, -30.0,
+         745.0, -745.0, 1e3, -1e3]
+    x = np.array([x + values])
+    assert np.array_equal(ad.sigmoid(p(x)).data, three_exp_sigmoid(x))
+
+
 def gelu_reference(x):
     """The tanh-form GELU and its derivative as whole-array expressions,
     in the kernel's order."""

@@ -2,6 +2,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vulcontrast import comments
 from vulcontrast.comments import (CommentError, CritiqueTranscript,
@@ -55,6 +56,23 @@ class TestStub:
                 FunctionRecord(id="x", code=code, label=1)).lower()
             for word in ("security", "vulnerable", "vulnerability"):
                 assert word not in out
+
+
+def loop_first_sentence(text):
+    """The per-character `_first_sentence` that `str.partition` replaced."""
+    text = " ".join(text.split())
+    for i, ch in enumerate(text):
+        if ch == ".":
+            return text[:i + 1]
+    return text + "."
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(st.sampled_from(list("ab. \t\n\xa0"))), st.text(),
+                 st.sampled_from(["", "no period here", "...", ".", " . ",
+                                  " \t\n ", "One. Two.", "ends."])))
+def test_first_sentence_equals_the_per_character_loop(text):
+    assert comments._first_sentence(text) == loop_first_sentence(text)
 
 
 class TestRemoteProtocol:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -150,6 +151,31 @@ CODE_ALPHABET = st.sampled_from(
     ["", " ", "\x0b\x1c\xa0\u3000", "\t\n "])))
 def test_code_tokenizer_equals_the_per_character_loop(text):
     assert tokenize(text, "code") == loop_tokenize_code(text)
+
+
+def loop_tokenize_text(text):
+    """The per-character text tokenizer that `str.rstrip` replaced."""
+    out = []
+    for chunk in text.split():
+        tail = []
+        while chunk and chunk[-1] in ".,;:":
+            tail.append(chunk[-1])
+            chunk = chunk[:-1]
+        if chunk:
+            out.append(chunk)
+        out.extend(reversed(tail))
+    return out or ["<unk>"]
+
+
+TEXT_ALPHABET = st.sampled_from(list(".,;:!?-'") + list(" \t\n\xa0\u3000")
+                                + list("ab_0é字"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(TEXT_ALPHABET), st.text(), st.sampled_from(
+    ["", " ", ".", "..,;:", "a.b.", "a .", ". : ;"])))
+def test_text_tokenizer_equals_the_per_character_loop(text):
+    assert tokenize(text, "text") == loop_tokenize_text(text)
 
 
 class TestVocab:
@@ -312,3 +338,16 @@ class TestFixture:
         positives = [r for r in generate_fixture() if r.label == 1]
         whole = [r for r in positives if "execraw ( userbuf" in r.code]
         assert (len(positives), len(whole)) == (200, 67)
+
+    @pytest.mark.parametrize("n, seed, digest", [
+        # criterion 6's corpus
+        (400, 13,
+         "50ceba6c6ab3575196edd4c203776a25d0ee860857881dc58cb5f8914e380d26"),
+        # the first comment-remote chunk at benchmark seed 6001
+        (32, [6001, 0],
+         "8ddde0110101292a9f5345fe8e1015aae0c308ed9ab5ae70422cc1d6ac7a7768"),
+    ])
+    def test_seeded_corpus_bytes(self, tmp_path, n, seed, digest):
+        path = tmp_path / "fixture.jsonl"
+        save_jsonl(generate_fixture(n, seed=seed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vulcontrast import autodiff as ad
-from vulcontrast.losses import (LossError, LossWeights, bce_loss, clip_loss,
-                                consistency_loss, dual_clip_loss,
+from vulcontrast.losses import (PROB_CLAMP, LossError, LossWeights, bce_loss,
+                                clip_loss, consistency_loss, dual_clip_loss,
                                 similarity_matrix, total_loss)
 
 
@@ -155,6 +155,25 @@ class TestBceLoss:
     def test_bad_label_rejected(self):
         with pytest.raises(LossError):
             bce_loss(ad.constant([[0.5]]), [2])
+
+    def test_bit_equal_to_the_sub_node_form(self):
+        # the negative term's 1 - y was an autodiff sub of two constants
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 1.0, size=(9, 1))
+        labels = rng.integers(0, 2, size=9)
+        got_p = ad.parameter(values, "p")
+        got = bce_loss(got_p, labels)
+        ad.backward(got)
+        ref_p = ad.parameter(values, "p")
+        y = ad.constant(labels.astype(np.float64).reshape(-1, 1))
+        ones = ad.constant(np.ones((9, 1)))
+        clamped = ad.clamp(ref_p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        ref = ad.scale(ad.mean_all(ad.add(
+            ad.mul(y, ad.log(clamped)),
+            ad.mul(ad.sub(ones, y), ad.log(ad.sub(ones, clamped))))), -1.0)
+        ad.backward(ref)
+        assert got.item() == ref.item()
+        assert np.array_equal(got_p.grad, ref_p.grad)
 
 
 def random_batch(B=4, d=6, seed=0):

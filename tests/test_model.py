@@ -167,6 +167,16 @@ class TestEncode:
         with pytest.raises(ModelError, match="out of range"):
             model.encode_batch([seq([99])], "code")
 
+    @pytest.mark.parametrize("bad", [-1, -5, 32])
+    def test_id_outside_vocabulary_named(self, bad):
+        model = make_model()  # vocab_size 32
+        with pytest.raises(ModelError, match=f"token id {bad} out of range"):
+            model.encode_batch([seq([3, bad, 2])], "code")
+
+    def test_both_ends_of_the_vocabulary_accepted(self):
+        model = make_model()
+        assert model.encode_batch([seq([0, 31])], "code").data.shape[0] == 1
+
     def test_too_long_rejected(self):
         model = make_model()
         with pytest.raises(ModelError, match="max input length"):
