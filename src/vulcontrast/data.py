@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -193,7 +194,7 @@ def build_vocab(records, modality, max_size):
 def encode(tokens, vocab, max_input_length):
     if max_input_length < 1:
         raise ValueError("encode: max_input_length must be >= 1")
-    ids = [vocab.id_of(t) for t in tokens[:max_input_length]] or [UNK_ID]
+    ids = [vocab.id_of(t) for t in tokens[:max_input_length]]
     return TokenSequence(tokens=ids, modality=vocab.modality)
 
 
@@ -225,27 +226,31 @@ def dataset_stats(records):
     )
 
 
-def _overall_targets(n, fractions):
+def _apportion(n, fractions):
+    """Largest-remainder apportionment of `n` over `fractions`: the floors
+    of the shares, the count left over, and the indices by descending
+    remainder (ties to the lower index)."""
     raw = [f * n for f in fractions]
     base = [int(np.floor(r)) for r in raw]
-    leftover = n - sum(base)
     order = sorted(range(len(fractions)),
                    key=lambda k: (-(raw[k] - base[k]), k))
-    for k in order[:leftover]:
-        base[k] += 1
-    return base
+    return base, n - sum(base), order
 
 
 def stratified_split(records, fractions, seed):
     if len(fractions) != 3:
         raise DatasetError(f"fractions {fractions}: exactly three required")
+    if not all(math.isfinite(f) for f in fractions):
+        raise DatasetError(f"fractions {fractions}: each must be finite")
     if any(f <= 0 for f in fractions):
         raise DatasetError(f"fractions {fractions}: each must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise DatasetError(f"fractions {fractions}: must sum to 1")
 
     n = len(records)
-    targets = _overall_targets(n, fractions)
+    targets, leftover, order = _apportion(n, fractions)
+    for k in order[:leftover]:
+        targets[k] += 1
     if n > 0 and any(t == 0 for t in targets):
         raise DatasetError(
             f"fractions {fractions}: a split of {n} records would be empty")
@@ -256,23 +261,18 @@ def stratified_split(records, fractions, seed):
         by_label[rec.label].append(rec)
 
     splits = [[], [], []]
-    capacity = list(targets)
     for label in (0, 1):
         group = by_label[label]
         if not group:
             continue
         perm = rng.permutation(len(group))
         group = [group[i] for i in perm]
-        raw = [f * len(group) for f in fractions]
-        base = [int(np.floor(r)) for r in raw]
-        leftover = len(group) - sum(base)
+        quota, leftover, order = _apportion(len(group), fractions)
         # hand leftovers to splits with largest fractional remainder that
         # still have overall capacity
-        order = sorted(range(3), key=lambda k: (-(raw[k] - base[k]), k))
-        quota = list(base)
         for _ in range(leftover):
             for k in order:
-                if capacity[k] - len(splits[k]) - quota[k] > 0:
+                if targets[k] - len(splits[k]) - quota[k] > 0:
                     quota[k] += 1
                     break
             else:

@@ -12,10 +12,6 @@ each sequence's mean as soon as its group is encoded, so every sequence is
 encoded at its own length and padding never enters the computation. The
 budget keeps a group's activations small enough to stay in cache, and
 pooling each group at once frees them before the next group.
-
-Until the next checkpoint version, `_checked_ids` still drops id 1
-(`<pad>`) from each sequence and reads a sequence left empty as `<unk>`,
-so a literal `<pad>` word in a remote comment is dropped.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import keyed_rng
-from .data import PAD_ID
 
 LOGIT_SCALE_INIT = 14.0
 LOGIT_SCALE_MIN = 1.0
@@ -131,8 +126,9 @@ class DualEncoderModel:
     def _rms_norm(self, x, dim):
         return ad.scale(ad.row_l2_normalize(x), math.sqrt(dim))
 
-    def _checked_ids(self, cfg, tokens):
-        ids = [i for i in tokens if i != PAD_ID] or [0]
+    def _checked_ids(self, cfg, ids):
+        if not ids:
+            raise ModelError("empty token sequence")
         for i in (min(ids), max(ids)):
             if not 0 <= i < cfg.vocab_size:
                 raise ModelError(

@@ -114,6 +114,9 @@ class TestSplit:
         (["--fractions", "0.5/0.5"], "--fractions '0.5/0.5'"),
         (["--fractions", "0.9/0.2/-0.1"], "--fractions '0.9/0.2/-0.1'"),
         (["--fractions", "0.5/0.3/0.3"], "--fractions '0.5/0.3/0.3'"),
+        (["--fractions", "nan/0.5/0.5"],
+         "--fractions 'nan/0.5/0.5' --seed 0: fractions [nan, 0.5, 0.5]: "
+         "each must be finite"),
         (["--seed", "-1"], "--seed -1")])
     def test_rejected_split_names_the_flag(self, workdir, capsys, flags,
                                            named):

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vulcontrast.data import (_CODE_PUNCT, DatasetError, FunctionRecord,
                               build_vocab, dataset_stats, encode, load_jsonl,
-                              save_jsonl, stratified_split, tokenize, UNK_ID,
-                              PAD_ID)
+                              save_jsonl, stratified_split, tokenize, UNK_ID)
 from vulcontrast.fixtures import generate_fixture
 
 
@@ -213,9 +212,10 @@ class TestEncode:
         seq = encode(["a"] * 5, vocab, 3)
         assert len(seq.tokens) == 3
 
-    def test_empty_input(self):
+    def test_empty_input_encodes_to_no_ids(self):
+        # `tokenize` is the one place where empty text becomes `<unk>`
         vocab = build_vocab([rec(0, 0, code="a")], "code", 10)
-        assert encode([], vocab, 3).tokens == [UNK_ID]
+        assert encode([], vocab, 3).tokens == []
 
     def test_never_exceeds_vocab_size(self):
         vocab = build_vocab([rec(0, 0, code="a b c d e")], "code", 5)
@@ -225,14 +225,15 @@ class TestEncode:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.text(min_size=1), min_size=1, max_size=5),
            st.integers(3, 12), st.integers(1, 50), st.data())
-    def test_length_and_id_range(self, codes, max_size, max_len, data):
+    def test_one_id_per_token_up_to_the_limit(self, codes, max_size,
+                                              max_len, data):
         records = [rec(i, 0, code=c) for i, c in enumerate(codes)]
         vocab = build_vocab(records, "code", max_size)
         known = st.sampled_from(sorted(vocab.token_to_id))
         tokens = data.draw(st.lists(st.one_of(known, st.text(max_size=6)),
                                     max_size=60))
         ids = encode(tokens, vocab, max_len).tokens
-        assert 1 <= len(ids) <= max_len
+        assert len(ids) == min(len(tokens), max_len)
         assert all(0 <= t < vocab.size for t in ids)
 
 
@@ -271,6 +272,46 @@ class TestStats:
         assert abs(stats.avg_tokens - sum(toks) / len(toks)) < 1e-9
 
 
+def inline_stratified_split(records, fractions, seed):
+    """The split with its per-label apportionment written out inline, as it
+    was before both apportionments shared `_apportion`."""
+    n = len(records)
+    raw = [f * n for f in fractions]
+    targets = [int(np.floor(r)) for r in raw]
+    order = sorted(range(3), key=lambda k: (-(raw[k] - targets[k]), k))
+    for k in order[:n - sum(targets)]:
+        targets[k] += 1
+    if n > 0 and any(t == 0 for t in targets):
+        raise DatasetError(
+            f"fractions {fractions}: a split of {n} records would be empty")
+    rng = np.random.default_rng(seed)
+    splits = [[], [], []]
+    capacity = list(targets)
+    for label in (0, 1):
+        group = [r for r in records if r.label == label]
+        if not group:
+            continue
+        perm = rng.permutation(len(group))
+        group = [group[i] for i in perm]
+        raw = [f * len(group) for f in fractions]
+        base = [int(np.floor(r)) for r in raw]
+        leftover = len(group) - sum(base)
+        order = sorted(range(3), key=lambda k: (-(raw[k] - base[k]), k))
+        quota = list(base)
+        for _ in range(leftover):
+            for k in order:
+                if capacity[k] - len(splits[k]) - quota[k] > 0:
+                    quota[k] += 1
+                    break
+            else:
+                quota[order[0]] += 1
+        pos = 0
+        for k in range(3):
+            splits[k].extend(group[pos:pos + quota[k]])
+            pos += quota[k]
+    return tuple(splits)
+
+
 class TestSplit:
     def test_exhaustive_partition_10(self):
         records = [rec(i, i % 2) for i in range(10)]
@@ -296,6 +337,9 @@ class TestSplit:
         (4, [0.5, 0.5], 0, "fractions [0.5, 0.5]"),
         (4, [0.9, 0.2, -0.1], 0, "fractions [0.9, 0.2, -0.1]"),
         (4, [0.5, 0.3, 0.3], 0, "fractions [0.5, 0.3, 0.3]"),
+        (4, [float("nan"), 0.5, 0.5], 0, "fractions [nan, 0.5, 0.5]"),
+        (0, [0.5, float("nan"), 0.5], 0, "fractions [0.5, nan, 0.5]"),
+        (4, [float("inf"), 0.5, 0.5], 0, "fractions [inf, 0.5, 0.5]"),
         (1, [0.8, 0.1, 0.1], 0, "split of 1 records would be empty"),
         (4, [0.5, 0.25, 0.25], -1, "seed -1")])
     def test_bad_input_raises_dataset_error_naming_it(self, n, fractions,
@@ -303,6 +347,30 @@ class TestSplit:
         records = [rec(i, i % 2) for i in range(n)]
         with pytest.raises(DatasetError, match=re.escape(named)):
             stratified_split(records, fractions, seed)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_fraction_rejected_as_such(self, bad):
+        with pytest.raises(DatasetError, match="must be finite"):
+            stratified_split([rec(i, i % 2) for i in range(4)],
+                             [0.5, bad, 0.5], 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=80),
+           st.lists(st.integers(1, 20), min_size=3, max_size=3),
+           st.integers(0, 2 ** 32))
+    def test_equals_the_inline_apportionment(self, labels, weights, seed):
+        records = [rec(i, label) for i, label in enumerate(labels)]
+        fractions = [w / sum(weights) for w in weights]
+        try:
+            expected = inline_stratified_split(records, fractions, seed)
+        except DatasetError as exc:
+            with pytest.raises(DatasetError, match=re.escape(str(exc))):
+                stratified_split(records, fractions, seed)
+            return
+        got = stratified_split(records, fractions, seed)
+        assert [[r.id for r in part] for part in got] == \
+            [[r.id for r in part] for part in expected]
 
     def test_fixture_seed_rejected_naming_it(self):
         with pytest.raises(DatasetError, match="seed -1"):

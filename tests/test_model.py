@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vulcontrast import autodiff as ad
-from vulcontrast.data import TokenSequence, PAD_ID
+from vulcontrast.data import (PAD_ID, TokenSequence, Vocabulary, encode,
+                              tokenize)
 from vulcontrast.model import (DualEncoderModel, EncoderConfig, ModelError,
                                LOGIT_SCALE_INIT, parameter_table)
 
@@ -155,12 +156,30 @@ class TestEncode:
         rev = model.encode_batch(seqs[::-1], "code").data
         assert np.allclose(fwd, rev[::-1], atol=1e-12)
 
-    def test_padding_invariance(self):
+    def test_id_one_is_an_ordinary_token(self):
         model = make_model(4)
         plain = model.encode_batch([seq([3, 7, 2])], "code").data
-        padded = model.encode_batch([seq([3, 7, 2, PAD_ID, PAD_ID])],
+        longer = model.encode_batch([seq([3, 7, 2, PAD_ID, PAD_ID])],
                                     "code").data
-        assert np.allclose(plain, padded, atol=1e-9)
+        assert not np.allclose(plain, longer, atol=1e-6)
+
+    def test_literal_pad_word_in_a_comment_reaches_the_text_encoder(self):
+        vocab = Vocabulary({"<unk>": 0, "<pad>": PAD_ID, "frees": 2,
+                            "buf": 3}, "text")
+        model = make_model(4)
+        rows = [model.encode_batch([encode(tokenize(text, "text"), vocab, 12)],
+                                   "text").data
+                for text in ("frees <pad> buf", "frees buf")]
+        assert encode(tokenize("frees <pad> buf", "text"), vocab,
+                      12).tokens == [2, PAD_ID, 3]
+        assert not np.allclose(rows[0], rows[1], atol=1e-6)
+
+    @pytest.mark.parametrize("modality", ["code", "text"])
+    def test_empty_sequence_rejected(self, modality):
+        model = make_model()
+        with pytest.raises(ModelError, match="empty token sequence"):
+            model.encode_batch([seq([3], modality), seq([], modality)],
+                               modality)
 
     def test_out_of_vocab_id_rejected(self):
         model = make_model()
