@@ -102,9 +102,11 @@ class DualEncoderModel:
         self.text_config = text_config
         self.seed = seed
         self.text_invocations = 0
+        # the classifier at fan-in scale: at INIT_STD its logits stay near 0
         self.params = {
             name: ad.parameter(
-                keyed_rng(seed, name).normal(0, INIT_STD, shape)
+                keyed_rng(seed, name).normal(0, shape[0] ** -0.5 if name in (
+                    "cls.w1", "cls.w2") else INIT_STD, shape)
                 if fill is None else np.full(shape, fill), name)
             for name, shape, fill in parameter_table(code_config,
                                                      text_config)}

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .augment import augment_tokens, keyed_rng
 from .data import (PAD_TOKEN, UNK_TOKEN, TokenSequence, build_vocab, encode,
                    tokenize)
-from .losses import LossWeights, similarity_matrix, total_loss
+from .losses import LossWeights, bce_loss, similarity_matrix, total_loss
 from .model import (LOGIT_SCALE_INIT, DualEncoderModel, EncoderConfig,
                     parameter_table)
 
@@ -154,9 +154,9 @@ class TrainResult:
 # overflow surfaces as the per-node check's typed error, not numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def train(records, validation, config, progress=None):
-    """Train the dual-encoder model; returns the model (restored to its
-    best-validation-F1 epoch if `select_best_f1`) with per-epoch logs, and
-    the loss-log rows."""
+    """Train the dual-encoder model; returns the model (if `select_best_f1`,
+    restored to its epoch of best validation F1, ties going to the lower
+    validation BCE) with per-epoch logs, and the loss-log rows."""
     from .evaluation import EvalError, predict, compute_metrics
 
     w = config.weights
@@ -195,7 +195,7 @@ def train(records, validation, config, progress=None):
 
     log_rows = []
     epoch_logs = []
-    best_f1 = -1.0
+    best_f1, best_bce = -1.0, math.inf
     best_epoch = -1
     best_params = None
     step = 0
@@ -236,8 +236,13 @@ def train(records, validation, config, progress=None):
             if validation:
                 preds = predict(model, validation, vocabs["code"])
                 val_metrics = compute_metrics(preds)
-                if val_metrics.f1 > best_f1:
-                    best_f1 = val_metrics.f1
+                with ad.no_grad():
+                    val_bce = bce_loss(ad.constant(
+                        [[p.probability] for p in preds.predictions]),
+                        [p.gold for p in preds.predictions]).item()
+                # the best F1; of tied epochs, the lowest validation BCE
+                if (val_metrics.f1, -val_bce) > (best_f1, -best_bce):
+                    best_f1, best_bce = val_metrics.f1, val_bce
                     best_epoch = epoch
                     best_params = {k: p.data.copy()
                                    for k, p in model.params.items()}

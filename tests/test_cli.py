@@ -283,7 +283,7 @@ class TestTrain:
             self, workdir, tmp_path, capsys):
         config = tmp_path / "overflow.cfg"
         config.write_text(TRAIN_CONFIG.replace("epochs = 2", "epochs = 1")
-                          + "classification = 1e308\n")
+                          + "classification = 1e250\n")
         assert run(["train", "--train",
                     str(workdir / "train.commented.jsonl"),
                     "--config", str(config),

@@ -6,8 +6,9 @@ import pytest
 from vulcontrast import autodiff as ad
 from vulcontrast.data import (PAD_ID, TokenSequence, Vocabulary, encode,
                               tokenize)
+from vulcontrast.augment import keyed_rng
 from vulcontrast.model import (DualEncoderModel, EncoderConfig, ModelError,
-                               LOGIT_SCALE_INIT, parameter_table)
+                               INIT_STD, LOGIT_SCALE_INIT, parameter_table)
 
 
 def tiny_config(**kw):
@@ -36,6 +37,14 @@ class TestInit:
         assert abs(model.logit_scale().item() - LOGIT_SCALE_INIT) < 1e-12
         assert abs(model.params["logit_scale"].data[0, 0]
                    - math.log(14.0)) < 1e-12
+
+    def test_classifier_weights_drawn_at_fan_in_scale(self):
+        model = make_model(3, proj_dim=8)
+        for name, std in (("cls.w1", 8 ** -0.5), ("cls.w2", 8 ** -0.5),
+                          ("proj.code", INIT_STD), ("code.embed", INIT_STD)):
+            w = model.params[name].data
+            assert np.array_equal(w, keyed_rng(3, name).normal(0, std,
+                                                               w.shape))
 
     def test_code_only_model_holds_the_code_side(self):
         full = make_model(3)

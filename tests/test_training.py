@@ -360,6 +360,28 @@ class TestTrainLoop:
         preds = predict(result.model, val, result.code_vocab)
         assert compute_metrics(preds).f1 == result.best_f1
 
+    @pytest.mark.parametrize("f1s,bces,best", [
+        ([0.5, 0.5, 0.5], [0.5, 0.3, 0.4], 1),   # a tie: the lowest BCE
+        ([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], 0),   # a full tie: the first
+        ([0.9, 0.5, 0.8], [0.6, 0.1, 0.1], 0)])  # F1 first
+    def test_best_f1_then_lowest_validation_bce_kept(self, monkeypatch, f1s,
+                                                     bces, best):
+        from vulcontrast import evaluation
+        real, f1_iter, bce_iter = (evaluation.compute_metrics, iter(f1s),
+                                   iter(bces))
+
+        def scripted_metrics(preds):
+            metrics = real(preds)
+            metrics.f1 = next(f1_iter)
+            return metrics
+        monkeypatch.setattr(evaluation, "compute_metrics", scripted_metrics)
+        monkeypatch.setattr(training, "bce_loss", lambda probs, labels:
+                            ad.constant(next(bce_iter)))
+        val = small_records(n=8, seed=11)
+        result, _ = train(val, val, small_config(
+            epochs=3, fine_tuning_only=True, select_best_f1=True))
+        assert (result.best_epoch, result.best_f1) == (best, f1s[best])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_validation_pass_reported_as_divergence(self,
                                                             monkeypatch):
