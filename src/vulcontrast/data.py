@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -240,7 +239,7 @@ def _apportion(n, fractions):
 def stratified_split(records, fractions, seed):
     if len(fractions) != 3:
         raise DatasetError(f"fractions {fractions}: exactly three required")
-    if not all(math.isfinite(f) for f in fractions):
+    if not np.all(np.isfinite(fractions)):
         raise DatasetError(f"fractions {fractions}: each must be finite")
     if any(f <= 0 for f in fractions):
         raise DatasetError(f"fractions {fractions}: each must be positive")

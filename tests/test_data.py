@@ -212,7 +212,7 @@ class TestEncode:
         seq = encode(["a"] * 5, vocab, 3)
         assert len(seq.tokens) == 3
 
-    def test_empty_input_encodes_to_no_ids(self):
+    def test_empty_input(self):
         # `tokenize` is the one place where empty text becomes `<unk>`
         vocab = build_vocab([rec(0, 0, code="a")], "code", 10)
         assert encode([], vocab, 3).tokens == []
@@ -225,8 +225,7 @@ class TestEncode:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.text(min_size=1), min_size=1, max_size=5),
            st.integers(3, 12), st.integers(1, 50), st.data())
-    def test_one_id_per_token_up_to_the_limit(self, codes, max_size,
-                                              max_len, data):
+    def test_length_and_id_range(self, codes, max_size, max_len, data):
         records = [rec(i, 0, code=c) for i, c in enumerate(codes)]
         vocab = build_vocab(records, "code", max_size)
         known = st.sampled_from(sorted(vocab.token_to_id))
@@ -337,11 +336,11 @@ class TestSplit:
         (4, [0.5, 0.5], 0, "fractions [0.5, 0.5]"),
         (4, [0.9, 0.2, -0.1], 0, "fractions [0.9, 0.2, -0.1]"),
         (4, [0.5, 0.3, 0.3], 0, "fractions [0.5, 0.3, 0.3]"),
+        (1, [0.8, 0.1, 0.1], 0, "split of 1 records would be empty"),
+        (4, [0.5, 0.25, 0.25], -1, "seed -1"),
         (4, [float("nan"), 0.5, 0.5], 0, "fractions [nan, 0.5, 0.5]"),
         (0, [0.5, float("nan"), 0.5], 0, "fractions [0.5, nan, 0.5]"),
-        (4, [float("inf"), 0.5, 0.5], 0, "fractions [inf, 0.5, 0.5]"),
-        (1, [0.8, 0.1, 0.1], 0, "split of 1 records would be empty"),
-        (4, [0.5, 0.25, 0.25], -1, "seed -1")])
+        (4, [float("inf"), 0.5, 0.5], 0, "fractions [inf, 0.5, 0.5]")])
     def test_bad_input_raises_dataset_error_naming_it(self, n, fractions,
                                                        seed, named):
         records = [rec(i, i % 2) for i in range(n)]
