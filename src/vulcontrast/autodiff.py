@@ -1,12 +1,15 @@
-"""Minimal reverse-mode autodiff over dense float64 matrices.
+"""Minimal reverse-mode autodiff over dense float32 or float64 matrices.
 
-Everything is a 2-D array; scalars are shape (1, 1). The primitive set is
-what the training objectives need: matmul, elementwise arithmetic,
-exp/log, log-sum-exp per row, multi-head scaled dot-product attention
-over row-stacked segments (`attention`), l2 normalization, the mean of
-each segment (`segment_mean_pool`), embedding lookup, sigmoid/gelu, row
-concatenation and a clamp. `row_softmax` and `mean_pool_rows` have no
-caller in the package; `perfbench`'s tracer looks them up by name.
+Everything is a 2-D array; scalars are shape (1, 1). A float32 array
+stays float32 and anything else becomes float64; each primitive computes
+in its inputs' dtype, except `segment_mean_pool`, which always pools into
+float64. The primitive set is what the training objectives need:
+matmul, elementwise arithmetic, exp/log, log-sum-exp per row, multi-head
+scaled dot-product attention over row-stacked segments (`attention`), l2
+normalization, the mean of each segment (`segment_mean_pool`), embedding
+lookup, sigmoid/gelu, row concatenation and a clamp. `row_softmax` and
+`mean_pool_rows` have no caller in the package; `perfbench`'s tracer
+looks them up by name.
 
 Inside `no_grad()` the primitives compute values but record no graph, and
 `backward` releases each node's graph as it walks it, so a graph can be
@@ -36,7 +39,9 @@ class GradError(RuntimeError):
 
 
 def _as_matrix(data):
-    arr = np.asarray(data, dtype=np.float64)
+    arr = np.asarray(data)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -47,7 +52,8 @@ def _as_matrix(data):
 
 
 class Tensor:
-    """A node in the computation graph. data is a (rows, cols) float64 array."""
+    """A node in the computation graph. data is a (rows, cols) float32 or
+    float64 array."""
 
     __slots__ = ("data", "grad", "name", "_prev", "_backward")
 
@@ -219,7 +225,7 @@ def transpose(a):
 
 def clamp(a, lo, hi):
     y = np.clip(a.data, lo, hi)
-    inside = ((a.data > lo) & (a.data < hi)).astype(np.float64)
+    inside = ((a.data > lo) & (a.data < hi)).astype(a.data.dtype)
 
     def backward(g):
         _accum(a, g * inside)
@@ -265,7 +271,7 @@ def attention(qkv, lengths, heads, c):
     q = split[0] * c
     k_t = np.ascontiguousarray(split[1].transpose(0, 2, 1))
     v = np.ascontiguousarray(split[2])
-    out = np.empty((heads, rows, dh))
+    out = np.empty((heads, rows, dh), dtype=qkv.data.dtype)
     segments = [slice(hi - n, hi) for hi, n in zip(np.cumsum(lengths),
                                                    lengths)]
     probs = []
@@ -290,7 +296,7 @@ def attention(qkv, lengths, heads, c):
     def backward(g):
         g = g.reshape(rows, heads, dh).transpose(1, 0, 2)
         dots = (g * out).sum(axis=2, keepdims=True)
-        grad = np.empty((3, heads, rows, dh))
+        grad = np.empty((3, heads, rows, dh), dtype=out.dtype)
         for seg, p in zip(segments, probs):
             dp = g[:, seg] @ v[:, seg].transpose(0, 2, 1)
             dp -= dots[:, seg]
@@ -445,14 +451,16 @@ def concat_rows(tensors):
 
 def segment_mean_pool(a, lengths):
     """One row per segment, the mean of its rows; the segments, of
-    `lengths` rows in order, tile the rows of `a`."""
+    `lengths` rows in order, tile the rows of `a`. The sums accumulate in
+    float64, so the pooled rows are float64 whatever `a`'s dtype."""
     lengths = np.asarray(lengths, dtype=np.int64)
     if (lengths.size < 1 or lengths.min() < 1
             or lengths.sum() != a.data.shape[0]):
         raise ShapeError(f"segment-mean-pool: {a.data.shape[0]} rows, "
                          f"segments of {lengths.tolist()} rows")
     n = lengths[:, None]
-    y = np.add.reduceat(a.data, np.cumsum(lengths) - lengths, axis=0) / n
+    y = np.add.reduceat(a.data, np.cumsum(lengths) - lengths, axis=0,
+                        dtype=np.float64) / n
 
     def backward(g):
         _accum(a, np.repeat(g / n, lengths, axis=0))

@@ -190,6 +190,7 @@ def _cmd_train(args):
         "best_f1": round(100.0 * result.best_f1, 2) if result.best_f1 >= 0
                    else None,
         "final_validation": result.epoch_logs[-1].validation,
+        "validation_by_epoch": [log.validation for log in result.epoch_logs],
     }
     _emit(summary, args.output)
     return EXIT_OK

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -239,7 +241,8 @@ def _apportion(n, fractions):
 def stratified_split(records, fractions, seed):
     if len(fractions) != 3:
         raise DatasetError(f"fractions {fractions}: exactly three required")
-    if not np.all(np.isfinite(fractions)):
+    if not all(isinstance(f, numbers.Real) and math.isfinite(f)
+               for f in fractions):
         raise DatasetError(f"fractions {fractions}: each must be finite")
     if any(f <= 0 for f in fractions):
         raise DatasetError(f"fractions {fractions}: each must be positive")

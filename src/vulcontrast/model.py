@@ -12,6 +12,16 @@ each sequence's mean as soon as its group is encoded, so every sequence is
 encoded at its own length and padding never enters the computation. The
 budget keeps a group's activations small enough to stay in cache, and
 pooling each group at once frees them before the next group.
+
+The encoders compute in float32: their parameters, under `code.*` and
+`text.*`, are stored as float32. Everything from the pooled rows on (the
+projection heads, the logit scale and the classifier) is float64, and
+pooling widens each sequence's mean to float64. For two or more rows, a
+row of a BLAS matrix product does not depend on the rows around it, so a
+sequence of two or more tokens encodes to the same bits alone or packed
+with others. A 1-token sequence encoded alone goes through a
+matrix-vector product instead, and its float32 encoding may differ in the
+low bits from the same sequence packed.
 """
 
 from __future__ import annotations
@@ -29,6 +39,8 @@ LOGIT_SCALE_MIN = 1.0
 LOGIT_SCALE_MAX = 100.0
 INIT_STD = 0.02
 ROW_BUDGET = 512  # rows per packed group; see the module docstring
+ENCODER_DTYPE = np.dtype("<f4")  # parameters under `code.*` and `text.*`
+HEAD_DTYPE = np.dtype("<f8")  # every other parameter
 
 
 class ModelError(ValueError):
@@ -54,6 +66,12 @@ class EncoderConfig:
             raise ModelError(
                 f"embed_dim {self.embed_dim} not divisible by "
                 f"{self.num_heads} heads")
+
+
+def parameter_dtype(name):
+    """The dtype that parameter `name` is stored and computed in."""
+    return (ENCODER_DTYPE if name.startswith(("code.", "text."))
+            else HEAD_DTYPE)
 
 
 def parameter_table(code_config, text_config=None):
@@ -95,7 +113,8 @@ class DualEncoderModel:
     scale and the classifier head, laid out by `parameter_table`. With
     `text_config` None the model is the code side only, which is all that
     inference reads. Each random parameter is drawn from `keyed_rng(seed,
-    name)`, so the code side is the same with or without a text side."""
+    name)`, so the code side is the same with or without a text side, then
+    stored in its `parameter_dtype`."""
 
     def __init__(self, code_config, text_config, seed=0):
         self.code_config = code_config
@@ -104,10 +123,11 @@ class DualEncoderModel:
         self.text_invocations = 0
         # the classifier at fan-in scale: at INIT_STD its logits stay near 0
         self.params = {
-            name: ad.parameter(
+            name: ad.parameter((
                 keyed_rng(seed, name).normal(0, shape[0] ** -0.5 if name in (
                     "cls.w1", "cls.w2") else INIT_STD, shape)
-                if fill is None else np.full(shape, fill), name)
+                if fill is None else np.full(shape, fill)
+            ).astype(parameter_dtype(name)), name)
             for name, shape, fill in parameter_table(code_config,
                                                      text_config)}
 

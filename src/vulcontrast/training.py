@@ -18,9 +18,9 @@ from .data import (PAD_TOKEN, UNK_TOKEN, TokenSequence, build_vocab, encode,
                    tokenize)
 from .losses import LossWeights, bce_loss, similarity_matrix, total_loss
 from .model import (LOGIT_SCALE_INIT, DualEncoderModel, EncoderConfig,
-                    parameter_table)
+                    parameter_dtype, parameter_table)
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -90,7 +90,8 @@ del TrainConfig.fine_tuning_only
 class AdamOptimizer:
     """Adam with bias correction and decoupled weight decay (applied as a
     direct shrink before the Adam delta). A step leaves a parameter with no
-    gradient untouched, decay included."""
+    gradient untouched, decay included. The moments take their parameter's
+    dtype."""
 
     def __init__(self, params, lr, weight_decay=0.0):
         self.params = dict(params)
@@ -99,15 +100,21 @@ class AdamOptimizer:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        # name -> the gradient array that the last clip proved finite; the
+        # next step skips its own check on those arrays
+        self._finite = {}
 
     def clip_gradients(self):
-        grads = [p.grad for p in self.params.values() if p.grad is not None]
-        norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads))
+        grads = {k: p.grad for k, p in self.params.items()
+                 if p.grad is not None}
+        # a Python float, so that the scaling below keeps a float32 g's dtype
+        norm = math.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
         if not math.isfinite(norm):  # scaling by 1/inf would zero every g
             raise ad.NonFiniteError(f"pre-clip gradient norm is {norm}")
         if norm > GRAD_CLIP_NORM:
-            for g in grads:
+            for g in grads.values():
                 g *= GRAD_CLIP_NORM / norm
+        self._finite = grads  # a finite norm: every gradient is finite
         return norm
 
     def step(self):
@@ -119,7 +126,7 @@ class AdamOptimizer:
             g = p.grad
             if g is None:  # the loss did not reach this parameter
                 continue
-            if not np.all(np.isfinite(g)):
+            if self._finite.get(name) is not g and not np.all(np.isfinite(g)):
                 raise TrainError(f"non-finite gradient for parameter {name}")
             if self.weight_decay:
                 p.data -= self.lr * self.weight_decay * p.data
@@ -133,13 +140,14 @@ class AdamOptimizer:
             v_hat = v / bc2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.grad = None
+        self._finite = {}
 
 
 @dataclass
 class EpochLog:
     epoch: int
     steps: list            # list of (step, LossBreakdown, gamma)
-    validation: dict       # metrics dict from evaluation
+    validation: dict       # metrics dict from evaluation, plus its `bce`
 
 
 @dataclass
@@ -249,8 +257,8 @@ def train(records, validation, config, progress=None):
             epoch_logs.append(EpochLog(
                 epoch=epoch,
                 steps=log_rows[epoch_start:],
-                validation=(val_metrics.__dict__.copy() if val_metrics
-                            else None)))
+                validation=({**val_metrics.__dict__, "bce": val_bce}
+                            if val_metrics else None)))
             epoch_start = len(log_rows)
             if progress:
                 progress(epoch, epoch_logs[-1])
@@ -285,9 +293,10 @@ _DECODE_ERRORS = (zipfile.BadZipFile, zlib.error, LookupError, EOFError,
 
 
 def save_checkpoint(model, path, step=0, code_vocab=None):
-    """Write `<path>.npz`: one float64 member per code-side parameter plus
-    a JSON `manifest` member, which holds the code vocabulary's tokens in
-    id order when one is given. The file is replaced atomically."""
+    """Write `<path>.npz`: one member per code-side parameter, `<f4` for
+    the encoder and `<f8` for the rest (`parameter_dtype`), plus a JSON
+    `manifest` member, which holds the code vocabulary's tokens in id
+    order when one is given. The file is replaced atomically."""
     manifest = {
         "version": CHECKPOINT_VERSION,
         "code_config": asdict(model.code_config),
@@ -298,7 +307,8 @@ def save_checkpoint(model, path, step=0, code_vocab=None):
         manifest["code_vocab"] = sorted(code_vocab.token_to_id,
                                         key=code_vocab.token_to_id.get)
     names = sorted(name for name, _, _ in parameter_table(model.code_config))
-    members = {name: model.params[name].data.astype("<f8") for name in names}
+    members = {name: model.params[name].data.astype(parameter_dtype(name))
+               for name in names}
     members["manifest"] = np.array(json.dumps(manifest, sort_keys=True))
     tmp = f"{path}.npz.{os.getpid()}.tmp"
     try:
@@ -339,7 +349,7 @@ def load_checkpoint(path):
             if name not in members:
                 raise CheckpointError(f"missing parameter: {name}")
             arr = arrays[name] = members.pop(name)
-            if arr.dtype != np.dtype("<f8") or arr.shape != shape:
+            if arr.dtype != parameter_dtype(name) or arr.shape != shape:
                 raise CheckpointError(
                     f"shape or dtype mismatch for parameter {name}: "
                     f"{arr.dtype}{list(arr.shape)}")

@@ -192,6 +192,14 @@ class TestTrain:
             "classification": 1.0}
         assert obj["final_validation"] is not None
 
+    def test_summary_shows_why_the_best_epoch_won(self, workdir):
+        obj = json.loads((workdir / "train.json").read_text())
+        logs = obj["validation_by_epoch"]
+        assert len(logs) == obj["config"]["epochs"]
+        assert logs[-1] == obj["final_validation"]
+        keys = [(log["f1"], -log["bce"]) for log in logs]
+        assert obj["best_epoch"] == keys.index(max(keys))
+
     def test_checkpoint_files_written(self, workdir):
         assert [p.name for p in workdir.glob("model*")] == ["model.npz"]
 
@@ -283,7 +291,7 @@ class TestTrain:
             self, workdir, tmp_path, capsys):
         config = tmp_path / "overflow.cfg"
         config.write_text(TRAIN_CONFIG.replace("epochs = 2", "epochs = 1")
-                          + "classification = 1e250\n")
+                          + "classification = 1e25\n")
         assert run(["train", "--train",
                     str(workdir / "train.commented.jsonl"),
                     "--config", str(config),
@@ -429,10 +437,10 @@ class TestEval:
 
 @pytest.fixture(scope="module")
 def overflowing(workdir):
-    """A valid checkpoint whose every weight is 1e200."""
+    """A valid checkpoint whose every weight is 1e30, finite in float32."""
     model, manifest = load_checkpoint(str(workdir / "model"))
     for p in model.params.values():
-        p.data[...] = 1e200
+        p.data[...] = 1e30
     vocab = Vocabulary({tok: i for i, tok in enumerate(manifest["code_vocab"])},
                        "code")
     save_checkpoint(model, str(workdir / "overflow"), code_vocab=vocab)

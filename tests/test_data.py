@@ -340,7 +340,10 @@ class TestSplit:
         (4, [0.5, 0.25, 0.25], -1, "seed -1"),
         (4, [float("nan"), 0.5, 0.5], 0, "fractions [nan, 0.5, 0.5]"),
         (0, [0.5, float("nan"), 0.5], 0, "fractions [0.5, nan, 0.5]"),
-        (4, [float("inf"), 0.5, 0.5], 0, "fractions [inf, 0.5, 0.5]")])
+        (4, [float("inf"), 0.5, 0.5], 0, "fractions [inf, 0.5, 0.5]"),
+        (4, ["a", 0.5, 0.5], 0, "fractions ['a', 0.5, 0.5]: each must be "
+         "finite"),
+        (4, [0.5, None, 0.5], 0, "fractions [0.5, None, 0.5]")])
     def test_bad_input_raises_dataset_error_naming_it(self, n, fractions,
                                                        seed, named):
         records = [rec(i, i % 2) for i in range(n)]

@@ -8,7 +8,8 @@ from vulcontrast.data import (PAD_ID, TokenSequence, Vocabulary, encode,
                               tokenize)
 from vulcontrast.augment import keyed_rng
 from vulcontrast.model import (DualEncoderModel, EncoderConfig, ModelError,
-                               INIT_STD, LOGIT_SCALE_INIT, parameter_table)
+                               INIT_STD, LOGIT_SCALE_INIT, ROW_BUDGET,
+                               parameter_dtype, parameter_table)
 
 
 def tiny_config(**kw):
@@ -43,8 +44,8 @@ class TestInit:
         for name, std in (("cls.w1", 8 ** -0.5), ("cls.w2", 8 ** -0.5),
                           ("proj.code", INIT_STD), ("code.embed", INIT_STD)):
             w = model.params[name].data
-            assert np.array_equal(w, keyed_rng(3, name).normal(0, std,
-                                                               w.shape))
+            assert np.array_equal(w, keyed_rng(3, name).normal(
+                0, std, w.shape).astype(w.dtype))
 
     def test_code_only_model_holds_the_code_side(self):
         full = make_model(3)
@@ -80,7 +81,9 @@ class TestInit:
         assert [name for name, _, _ in table] == list(params)
         for name, shape, fill in table:
             assert params[name].data.shape == shape, name
-            assert params[name].data.dtype == np.float64, name
+            assert params[name].data.dtype == parameter_dtype(name) == (
+                np.float32 if name.startswith(("code.", "text."))
+                else np.float64), name
             if fill is not None:
                 assert np.array_equal(params[name].data,
                                       np.full(shape, fill)), name
@@ -152,6 +155,27 @@ class TestEncode:
         batch = model.encode_batch(seqs, "code").data
         singles = [model.encode_batch([s], "code").data[0] for s in seqs]
         assert np.allclose(batch, np.vstack(singles), atol=1e-9)
+
+    def test_packed_rows_bit_equal_to_each_sequence_alone(self):
+        # two or more tokens each, across a group split at ROW_BUDGET
+        model = DualEncoderModel(EncoderConfig(vocab_size=64), None, seed=3)
+        rng = np.random.default_rng(0)
+        lengths = [2, 3, 40, 256, 200, 17, 2, 255, 100, 31]
+        assert sum(lengths[:5]) < ROW_BUDGET < sum(lengths[:6])
+        seqs = [seq(rng.integers(0, 64, n)) for n in lengths]
+        batch = model.encode_batch(seqs, "code").data
+        assert batch.dtype == np.float64
+        for row, s in zip(batch, seqs):
+            assert row.tobytes() == \
+                model.encode_batch([s], "code").data[0].tobytes()
+
+    def test_one_token_alone_agrees_to_float32_precision(self):
+        # a one-row group is a matrix-vector product in BLAS, so its low
+        # bits may differ from the same token packed with others
+        model = DualEncoderModel(EncoderConfig(vocab_size=64), None, seed=3)
+        packed = model.encode_batch([seq([5]), seq([7, 9])], "code").data[0]
+        alone = model.encode_batch([seq([5])], "code").data[0]
+        assert np.allclose(packed, alone, rtol=1e-5, atol=1e-6)
 
     def test_identical_sequences_identical_rows(self):
         model = make_model(1)

@@ -110,6 +110,43 @@ class TestAdam:
         with pytest.raises(TrainError, match="non-finite"):
             opt.step()
 
+    def test_step_without_clip_names_the_non_finite_parameter(self):
+        a = ad.parameter(np.ones((1, 1)), "a")
+        b = ad.parameter(np.ones((1, 2)), "b")
+        a.grad, b.grad = np.array([[0.5]]), np.array([[1.0, np.nan]])
+        with pytest.raises(TrainError,
+                           match="non-finite gradient for parameter b"):
+            AdamOptimizer({"a": a, "b": b}, lr=0.1).step()
+
+    def test_clip_then_step_makes_no_second_finiteness_pass(self,
+                                                           monkeypatch):
+        params = {k: ad.parameter(np.ones((2, 2)), k) for k in "abc"}
+        for p in params.values():
+            p.grad = np.full((2, 2), 3.0)
+        opt = AdamOptimizer(params, lr=0.1)
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite",
+                            lambda x: calls.append(x) or isfinite(x))
+        opt.clip_gradients()
+        opt.step()
+        assert calls == []
+        # the verdict covers the gradients the clip saw, and that step only
+        for p in params.values():
+            p.grad = np.full((2, 2), 3.0)
+        opt.step()
+        assert len(calls) == 3
+
+    def test_gradient_replaced_after_clip_still_checked(self):
+        p = ad.parameter(np.ones((1, 1)), "p")
+        p.grad = np.array([[0.5]])
+        opt = AdamOptimizer({"p": p}, lr=0.1)
+        opt.clip_gradients()
+        p.grad = np.array([[np.inf]])
+        with pytest.raises(TrainError,
+                           match="non-finite gradient for parameter p"):
+            opt.step()
+
 
 class TestClipGradients:
     def test_large_norm_scaled_to_unit(self):
@@ -144,6 +181,17 @@ class TestClipGradients:
                 ad.NonFiniteError, match="pre-clip gradient norm is inf"):
             opt.clip_gradients()
         assert np.array_equal(p.grad, [[1e200, 1.0]])
+
+    def test_scaling_computes_in_the_gradients_dtype(self):
+        g = np.random.default_rng(4).normal(size=(64, 64)).astype(np.float32)
+        p = ad.parameter(np.zeros_like(g), "p")
+        p.grad = g.copy()
+        norm = AdamOptimizer({"p": p}, lr=0.1).clip_gradients()
+        assert type(norm) is float
+        assert p.grad.dtype == np.float32
+        # a float32 multiply by the float32 factor, not a float64 one cast
+        # back
+        assert np.array_equal(p.grad, g * np.float32(1.0 / norm))
 
     def test_never_increases_norm(self):
         rng = np.random.default_rng(3)
@@ -399,6 +447,65 @@ class TestTrainLoop:
             train(records, records, small_config(
                 epochs=1, batch_size=8, fine_tuning_only=True))
 
+    def test_validation_bce_logged_per_epoch(self):
+        val = small_records(n=8, seed=11)
+        result, _ = train(val, val, small_config(
+            epochs=3, fine_tuning_only=True, select_best_f1=True))
+        for log in result.epoch_logs:
+            assert 0.0 < log.validation["bce"] < math.inf
+        # the logged pair is what ranked the epochs
+        keys = [(log.validation["f1"], -log.validation["bce"])
+                for log in result.epoch_logs]
+        assert result.best_epoch == keys.index(max(keys))
+
+    def test_encoders_float32_from_the_pooled_rows_on_float64(
+            self, monkeypatch):
+        built, inside = [], []
+        node, encode_group = ad._node, DualEncoderModel._encode_group
+
+        def record(data, op, prev, backward):
+            out = node(data, op, prev, backward)
+            built.append((op, out.data.dtype, bool(inside)))
+            return out
+
+        def tagged(self, *args):
+            inside.append(True)
+            try:
+                return encode_group(self, *args)
+            finally:
+                inside.pop()
+        seen = {}
+        step = AdamOptimizer.step
+
+        def checked_step(self):
+            for name, p in self.params.items():
+                seen[name] = (p.data.dtype, None if p.grad is None
+                              else p.grad.dtype, self.m[name].dtype)
+            step(self)
+        monkeypatch.setattr(ad, "_node", record)
+        monkeypatch.setattr(DualEncoderModel, "_encode_group", tagged)
+        monkeypatch.setattr(AdamOptimizer, "step", checked_step)
+        records, cfg = small_records(n=8), small_config(epochs=1,
+                                                        batch_size=8)
+        train(records, [], cfg)
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        encoder = [(op, dt) for op, dt, enc in built if enc]
+        rest = [(op, dt) for op, dt, enc in built if not enc]
+        # every node of an encoder group but its pooling is float32
+        assert {dt for op, dt in encoder if op != "segment-mean-pool"} \
+            == {f32}
+        assert {dt for op, dt in encoder if op == "segment-mean-pool"} \
+            == {f64}
+        # the joined rows, projections, similarities, classifier and loss
+        assert {"concat-rows", "row-l2-normalize", "sigmoid", "gelu",
+                "row-log-sum-exp", "mean-all"} <= {op for op, _ in rest}
+        assert {dt for _, dt in rest} == {f64}
+        assert set(seen) == {name for name, _, _ in parameter_table(
+            cfg.encoder_config(8), cfg.encoder_config(8))}
+        for name, dtypes in seen.items():
+            want = f32 if name.startswith(("code.", "text.")) else f64
+            assert dtypes == (want, want, want), name
+
     def test_progress_called_once_per_epoch_with_its_log(self):
         calls = []
         result, _ = train(small_records(n=8), [], small_config(),
@@ -511,9 +618,20 @@ class TestCheckpoint:
         code_side = {n for n, _, _ in parameter_table(model.code_config)}
         assert set(loaded.params) == code_side
         for name in code_side:
-            assert np.array_equal(loaded.params[name].data,
-                                  model.params[name].data)
+            got, want = loaded.params[name].data, model.params[name].data
+            assert got.dtype == want.dtype and got.tobytes() == \
+                want.tobytes(), name
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
+    def test_encoders_stored_as_f4_and_heads_as_f8(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(self.make_model(), path)
+        with np.load(path + ".npz") as archive:
+            dtypes = {name: archive[name].dtype.str
+                      for name in archive.files if name != "manifest"}
+        assert dtypes == {name: "<f4" if name.startswith("code.") else "<f8"
+                          for name in dtypes}
+        assert {"<f4", "<f8"} == set(dtypes.values())
 
     def test_holds_the_code_side_only(self, tmp_path):
         path = str(tmp_path / "ckpt")
@@ -526,7 +644,7 @@ class TestCheckpoint:
                          if n.startswith(("code.", "proj.code", "cls."))}
         assert set(manifest) == {"version", "code_config", "seed", "step",
                                  "code_vocab"}
-        assert manifest["version"] == 5
+        assert manifest["version"] == 6
         loaded, _ = load_checkpoint(path)
         assert loaded.text_config is None
         assert not any(n.startswith(("text.", "proj.text", "logit_scale"))
@@ -547,8 +665,9 @@ class TestCheckpoint:
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt")
-        # 4 stored each attention head's weights apart
-        for version in (2, 3, 4, 99):
+        # 4 stored each attention head's weights apart, 5 the encoders as
+        # <f8
+        for version in (2, 3, 4, 5, 99):
             save_checkpoint(self.make_model(), path)
             self.doctor(path, lambda members, manifest:
                         manifest.update(version=version))
@@ -647,14 +766,17 @@ class TestCheckpoint:
                            match="mismatch for parameter proj.code"):
             load_checkpoint(path)
 
-    def test_wrong_dtype_rejected(self, tmp_path):
-        for dtype in ("<f4", ">f8", "<i8"):
+    @pytest.mark.parametrize("name,dtypes", [
+        ("proj.code", ("<f4", ">f8", "<i8")),
+        ("code.block0.wqkv", ("<f8", ">f4", "<f2", "<i4"))])
+    def test_wrong_dtype_rejected(self, tmp_path, name, dtypes):
+        for dtype in dtypes:
             path = str(tmp_path / f"ckpt{dtype}")
             save_checkpoint(self.make_model(), path)
             self.doctor(path, lambda members, manifest: members.update(
-                {"proj.code": members["proj.code"].astype(dtype)}))
+                {name: members[name].astype(dtype)}))
             with pytest.raises(CheckpointError,
-                               match="mismatch for parameter proj.code"):
+                               match=f"mismatch for parameter {name}"):
                 load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
