@@ -26,7 +26,7 @@ measures how fast training converges.
 
 Run with no seeds, it runs `LEDGER_SEEDS` and also writes every value to
 `RESULTS_seeds.json` at the repository root. The exit code is 1 if any
-seed misses any bar. Each seed takes about 30 s on a 2-core host.
+seed misses any bar. Each seed takes about 20 s on a 2-core host.
 """
 
 from __future__ import annotations

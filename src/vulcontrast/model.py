@@ -39,8 +39,6 @@ LOGIT_SCALE_MIN = 1.0
 LOGIT_SCALE_MAX = 100.0
 INIT_STD = 0.02
 ROW_BUDGET = 512  # rows per packed group; see the module docstring
-ENCODER_DTYPE = np.dtype("<f4")  # parameters under `code.*` and `text.*`
-HEAD_DTYPE = np.dtype("<f8")  # every other parameter
 
 
 class ModelError(ValueError):
@@ -69,9 +67,10 @@ class EncoderConfig:
 
 
 def parameter_dtype(name):
-    """The dtype that parameter `name` is stored and computed in."""
-    return (ENCODER_DTYPE if name.startswith(("code.", "text."))
-            else HEAD_DTYPE)
+    """The dtype that parameter `name` is stored and computed in: float32
+    for the encoders' parameters, under `code.*` and `text.*`, and float64
+    for every other one; little-endian, as a checkpoint stores them."""
+    return np.dtype("<f4" if name.startswith(("code.", "text.")) else "<f8")
 
 
 def parameter_table(code_config, text_config=None):

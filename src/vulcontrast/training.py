@@ -118,6 +118,9 @@ class AdamOptimizer:
         return norm
 
     def step(self):
+        """One update of every parameter that has a gradient. A gradient
+        that the last `clip_gradients` call saw is known to be finite; any
+        other is checked, and a non-finite one raises TrainError."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t

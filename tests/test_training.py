@@ -766,12 +766,12 @@ class TestCheckpoint:
                            match="mismatch for parameter proj.code"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("name,dtypes", [
-        ("proj.code", ("<f4", ">f8", "<i8")),
-        ("code.block0.wqkv", ("<f8", ">f4", "<f2", "<i4"))])
-    def test_wrong_dtype_rejected(self, tmp_path, name, dtypes):
-        for dtype in dtypes:
-            path = str(tmp_path / f"ckpt{dtype}")
+    def test_wrong_dtype_rejected(self, tmp_path):
+        for name, dtype in [("proj.code", "<f4"), ("proj.code", ">f8"),
+                            ("proj.code", "<i8"), ("code.block0.wqkv", "<f8"),
+                            ("code.block0.wqkv", ">f4"),
+                            ("code.block0.wqkv", "<f2")]:
+            path = str(tmp_path / f"ckpt{name}{dtype}")
             save_checkpoint(self.make_model(), path)
             self.doctor(path, lambda members, manifest: members.update(
                 {name: members[name].astype(dtype)}))
