@@ -6,9 +6,10 @@ and the sha256 of every file it writes.
 
 reruns the pipeline in a temporary directory and rewrites
 `tests/golden.json`, which `tests/test_golden.py` checks on every run of
-the suite. A pure refactor leaves that file untouched. A change that is
-meant to move seeded numbers reruns this script, and its change notes say
-which hashes moved and why.
+the suite. It prints, against the file it overwrites, which files' hashes
+moved, were kept, were added and were removed. A pure refactor leaves
+that file untouched. A change that is meant to move seeded numbers reruns
+this script, and its change notes say which hashes moved and why.
 """
 
 from __future__ import annotations
@@ -97,7 +98,19 @@ def run_pipeline():
             for p in sorted(Path().iterdir()) if p.name != CONFIG_NAME}
 
 
+def compare(old, new):
+    """File names by fate, from the `sha256` maps before and after."""
+    return {"moved": sorted(n for n in old.keys() & new.keys()
+                            if old[n] != new[n]),
+            "kept": sorted(n for n in old.keys() & new.keys()
+                           if old[n] == new[n]),
+            "added": sorted(new.keys() - old.keys()),
+            "removed": sorted(old.keys() - new.keys())}
+
+
 def main():
+    old = (json.loads(GOLDEN.read_text(encoding="utf-8"))["sha256"]
+           if GOLDEN.exists() else {})
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -109,6 +122,8 @@ def main():
                                   "sha256": hashes}, indent=1,
                                  sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(hashes)} hashes to {GOLDEN}", file=sys.stderr)
+    for fate, names in compare(old, hashes).items():
+        print(f"{fate} ({len(names)}): {' '.join(names)}", file=sys.stderr)
 
 
 if __name__ == "__main__":

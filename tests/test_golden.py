@@ -27,3 +27,10 @@ def test_seeded_outputs_match_golden(tmp_path, monkeypatch):
         f"golden.json was made under {expected['environment']}; this run "
         f"is under {golden.environment()}. If the change is meant to move "
         "them, rerun scripts/golden.py and say which moved and why.")
+
+
+def test_compare_sorts_names_by_fate():
+    old = {"a": "1", "b": "2", "c": "3"}
+    new = {"a": "1", "b": "9", "d": "4"}
+    assert golden.compare(old, new) == {
+        "moved": ["b"], "kept": ["a"], "added": ["d"], "removed": ["c"]}
