@@ -12,9 +12,7 @@ from typing import Optional
 import numpy as np
 
 UNK_ID = 0
-PAD_ID = 1
 UNK_TOKEN = "<unk>"
-PAD_TOKEN = "<pad>"
 
 _CWE_RE = re.compile(r"^CWE-\d+$")
 _CODE_PUNCT = set('(){}[];,.*&=<>!+-/%"\'\\')
@@ -175,15 +173,15 @@ def tokenize(text, modality):
 
 
 def build_vocab(records, modality, max_size):
-    if max_size < 3:
-        raise ValueError("build_vocab: max_size must be >= 3")
+    if max_size < 2:
+        raise ValueError("build_vocab: max_size must be >= 2")
     counts = {}
     for rec in records:
         source = rec.code if modality == "code" else (rec.comment or "")
         for tok in tokenize(source, modality):
             counts[tok] = counts.get(tok, 0) + 1
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    mapping = {UNK_TOKEN: UNK_ID, PAD_TOKEN: PAD_ID}
+    mapping = {UNK_TOKEN: UNK_ID}
     for tok, _ in ordered:
         if len(mapping) >= max_size:
             break

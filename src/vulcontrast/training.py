@@ -14,13 +14,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import augment_tokens, keyed_rng
-from .data import (PAD_TOKEN, UNK_TOKEN, TokenSequence, build_vocab, encode,
-                   tokenize)
+from .data import UNK_TOKEN, TokenSequence, build_vocab, encode, tokenize
 from .losses import LossWeights, bce_loss, similarity_matrix, total_loss
 from .model import (LOGIT_SCALE_INIT, DualEncoderModel, EncoderConfig,
                     parameter_dtype, parameter_table)
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -66,8 +65,8 @@ class TrainConfig:
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise TrainError(f"weight_decay {self.weight_decay!r} must be "
                              "finite and non-negative")
-        if self.vocab_size < 3:
-            raise TrainError(f"vocab_size {self.vocab_size} must be >= 3")
+        if self.vocab_size < 2:
+            raise TrainError(f"vocab_size {self.vocab_size} must be >= 2")
         if not 0.0 <= self.alpha <= 1.0:
             raise TrainError(f"alpha {self.alpha} must lie in [0, 1]")
         if fine_tuning_only:
@@ -371,9 +370,9 @@ def load_checkpoint(path):
             isinstance(tokens, list) and len(tokens) == size
             and all(isinstance(t, str) for t in tokens)
             and len(set(tokens)) == size
-            and tokens[:2] == [UNK_TOKEN, PAD_TOKEN]):
+            and tokens[0] == UNK_TOKEN):
         raise CheckpointError(
             f"code vocabulary is not a list of {size} tokens (the code "
             f"encoder's vocabulary size), distinct strings with {UNK_TOKEN} "
-            f"at id 0 and {PAD_TOKEN} at id 1")
+            "at id 0")
     return model, manifest

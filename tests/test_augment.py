@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from vulcontrast.augment import (augment_tokens, random_delete,
                                  keyed_rng, random_swap)
-from vulcontrast.data import PAD_TOKEN, UNK_TOKEN, Vocabulary, encode
+from vulcontrast.data import UNK_TOKEN, Vocabulary, encode
 
 TOKENS = [f"t{i}" for i in range(10)]
 
@@ -135,8 +135,8 @@ class TestAugmentedIds:
     depend only on a sequence's length."""
 
     # t6 to t9 are out of vocabulary, so several tokens share <unk>'s id
-    VOCAB = Vocabulary({UNK_TOKEN: 0, PAD_TOKEN: 1,
-                        **{t: i + 2 for i, t in enumerate(TOKENS[:6])}},
+    VOCAB = Vocabulary({UNK_TOKEN: 0,
+                        **{t: i + 1 for i, t in enumerate(TOKENS[:6])}},
                        "code")
 
     @settings(max_examples=200, deadline=None)

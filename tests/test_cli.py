@@ -231,7 +231,7 @@ class TestTrain:
         "clip_orig = nan", "clip_aug = inf", "consistency = nan",
         "classification = -1", "learning_rate = nan", "learning_rate = inf",
         "learning_rate = 0", "weight_decay = -1", "weight_decay = nan",
-        "seed = -1", "disable_consistency = true", "vocab_size = 2"])
+        "seed = -1", "disable_consistency = true", "vocab_size = 1"])
     def test_bad_config_value_exits_naming_it(self, workdir, tmp_path,
                                               capsys, line):
         bad = tmp_path / "bad.cfg"

@@ -181,24 +181,24 @@ class TestVocab:
     def test_frequency_order(self):
         records = [rec(0, 0, code="a a a b")]
         vocab = build_vocab(records, "code", 10)
-        assert vocab.token_to_id == {"<unk>": 0, "<pad>": 1, "a": 2, "b": 3}
+        assert vocab.token_to_id == {"<unk>": 0, "a": 1, "b": 2}
 
     def test_tie_broken_lexicographically(self):
         records = [rec(0, 0, code="b a b a")]
         vocab = build_vocab(records, "code", 10)
-        assert vocab.token_to_id["a"] == 2
-        assert vocab.token_to_id["b"] == 3
+        assert vocab.token_to_id["a"] == 1
+        assert vocab.token_to_id["b"] == 2
 
     def test_truncation(self):
         records = [rec(0, 0, code="a a b c")]
-        vocab = build_vocab(records, "code", 3)
-        assert vocab.size == 3
+        vocab = build_vocab(records, "code", 2)
+        assert vocab.size == 2
         assert "a" in vocab.token_to_id
         assert "b" not in vocab.token_to_id
 
     def test_min_size(self):
         with pytest.raises(ValueError):
-            build_vocab([rec(0, 0)], "code", 2)
+            build_vocab([rec(0, 0)], "code", 1)
 
 
 class TestEncode:

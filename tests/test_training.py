@@ -270,8 +270,8 @@ class TestConfigAblations:
             small_config(seed=-1)
 
     def test_vocabulary_without_room_for_a_token_rejected(self):
-        with pytest.raises(TrainError, match="vocab_size 2 must be >= 3"):
-            small_config(vocab_size=2)
+        with pytest.raises(TrainError, match="vocab_size 1 must be >= 2"):
+            small_config(vocab_size=1)
 
 
 class TestTrainLoop:
@@ -592,7 +592,7 @@ class TestCheckpoint:
         return DualEncoderModel(cfg, cfg, seed=seed)
 
     def make_vocab(self, size=16):
-        tokens = ["<unk>", "<pad>"] + [f"t{i}" for i in range(2, size)]
+        tokens = ["<unk>"] + [f"t{i}" for i in range(1, size)]
         return Vocabulary({tok: i for i, tok in enumerate(tokens)}, "code")
 
     def doctor(self, path, edit):
@@ -614,7 +614,7 @@ class TestCheckpoint:
         loaded, manifest = load_checkpoint(path)
         assert manifest["step"] == 42
         assert manifest["code_vocab"] == \
-            ["<unk>", "<pad>"] + [f"t{i}" for i in range(2, 16)]
+            ["<unk>"] + [f"t{i}" for i in range(1, 16)]
         code_side = {n for n, _, _ in parameter_table(model.code_config)}
         assert set(loaded.params) == code_side
         for name in code_side:
@@ -644,7 +644,7 @@ class TestCheckpoint:
                          if n.startswith(("code.", "proj.code", "cls."))}
         assert set(manifest) == {"version", "code_config", "seed", "step",
                                  "code_vocab"}
-        assert manifest["version"] == 6
+        assert manifest["version"] == 7
         loaded, _ = load_checkpoint(path)
         assert loaded.text_config is None
         assert not any(n.startswith(("text.", "proj.text", "logit_scale"))
@@ -797,7 +797,7 @@ class TestCheckpoint:
         {f"t{i}": i for i in range(16)},
         list(range(16)),
         ["a"] * 16,
-        ["a", "b", "<unk>", "<pad>"] + [f"t{i}" for i in range(4, 16)],
+        ["a", "<unk>"] + [f"t{i}" for i in range(2, 16)],
     ])
     def test_vocabulary_not_matching_encoder_rejected(self, tmp_path,
                                                       tokens):
