@@ -174,7 +174,7 @@ def tokenize(text, modality):
 
 def build_vocab(records, modality, max_size):
     if max_size < 2:
-        raise ValueError("build_vocab: max_size must be >= 2")
+        raise DatasetError(f"build_vocab: max_size {max_size} must be >= 2")
     counts = {}
     for rec in records:
         source = rec.code if modality == "code" else (rec.comment or "")

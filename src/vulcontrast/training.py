@@ -344,6 +344,10 @@ def load_checkpoint(path):
     odd = sorted(_MANIFEST_KEYS ^ (set(manifest) - {"code_vocab"}))
     if odd:
         raise CheckpointError(f"missing or unknown manifest key: {odd[0]}")
+    for key in ("seed", "step"):  # as TrainConfig and save_checkpoint give
+        if type(manifest[key]) is not int or manifest[key] < 0:
+            raise CheckpointError(f"manifest {key} {manifest[key]!r} is not "
+                                  "a non-negative integer")
     arrays = {}
     try:  # every member is checked against the table before any draw
         config = EncoderConfig(**manifest["code_config"])

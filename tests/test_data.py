@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -197,8 +198,19 @@ class TestVocab:
         assert "b" not in vocab.token_to_id
 
     def test_min_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetError, match="max_size 1 must be >= 2"):
             build_vocab([rec(0, 0)], "code", 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcdefgh"), min_size=1,
+                             max_size=12), min_size=1, max_size=6),
+           st.integers(2, 6))
+    def test_capped_vocabulary_is_unk_then_the_top_tokens(self, codes, size):
+        records = [rec(i, 0, code=" ".join(c)) for i, c in enumerate(codes)]
+        counts = Counter(tok for c in codes for tok in c)
+        ranked = sorted(counts, key=lambda t: (-counts[t], t))[:size - 1]
+        assert build_vocab(records, "code", size).token_to_id == {
+            "<unk>": 0, **{t: i + 1 for i, t in enumerate(ranked)}}
 
 
 class TestEncode:

@@ -666,8 +666,8 @@ class TestCheckpoint:
     def test_unsupported_version_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt")
         # 4 stored each attention head's weights apart, 5 the encoders as
-        # <f8
-        for version in (2, 3, 4, 5, 99):
+        # <f8, 6 a vocabulary with <pad> at id 1
+        for version in (2, 3, 4, 5, 6, 99):
             save_checkpoint(self.make_model(), path)
             self.doctor(path, lambda members, manifest:
                         manifest.update(version=version))
@@ -684,6 +684,30 @@ class TestCheckpoint:
         self.doctor(path, lambda members, manifest: edit(manifest))
         with pytest.raises(CheckpointError, match="manifest key: seed"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "abc"), ("seed", None), ("seed", -5), ("seed", [1, 2]),
+        ("seed", True), ("seed", 1.0), ("step", "x"), ("step", -1),
+        ("step", False),
+    ])
+    def test_seed_or_step_not_a_non_negative_int_rejected(self, tmp_path,
+                                                           key, value):
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(self.make_model(), path)
+        self.doctor(path, lambda members, manifest:
+                    manifest.update({key: value}))
+        with pytest.raises(CheckpointError, match=f"manifest {key} "):
+            load_checkpoint(path)
+
+    def test_built_vocabulary_survives_the_round_trip(self, tmp_path):
+        # id 1 is the corpus's most frequent token, with nothing reserved
+        vocab = build_vocab(small_records(), "code", 16)
+        assert vocab.size == 16 and vocab.token_to_id[";"] == 1
+        path = str(tmp_path / "ckpt")
+        save_checkpoint(self.make_model(), path, code_vocab=vocab)
+        _, manifest = load_checkpoint(path)
+        assert {tok: i for i, tok in enumerate(manifest["code_vocab"])} \
+            == vocab.token_to_id
 
     def test_manifest_not_an_object_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt")
@@ -798,6 +822,8 @@ class TestCheckpoint:
         list(range(16)),
         ["a"] * 16,
         ["a", "<unk>"] + [f"t{i}" for i in range(2, 16)],
+        [f"t{i}" for i in range(15)] + ["<unk>"],
+        [f"t{i}" for i in range(16)],
     ])
     def test_vocabulary_not_matching_encoder_rejected(self, tmp_path,
                                                       tokens):
